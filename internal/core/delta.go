@@ -101,9 +101,9 @@ type speedupCurve struct {
 
 	// curPlan/basePlan are the edited tasks' demand columns (current and
 	// recorded parameters), compiled per delta walk; blockCur/blockBase
-	// hold one block's bulk-evaluated values. Together they turn the
-	// per-event per-task deltaAt pointer chase into one column-major
-	// BulkEval per examined block. Unused under Options.NoPlan.
+	// hold one block's bulk-evaluated values, so an examined block costs
+	// one column-major BulkEval instead of per-event per-task
+	// evaluations.
 	curPlan, basePlan   dbf.Plan
 	blockCur, blockBase [curveBlock]task.Time
 }
@@ -143,16 +143,6 @@ func (c *speedupCurve) compactEdited(cur task.Set) []int {
 	}
 	c.edited = kept
 	return kept
-}
-
-// deltaAt returns Σ_i δ_i(p) over the edited tasks: the exact value
-// correction turning the recorded base curve into the current one.
-func (c *speedupCurve) deltaAt(cur task.Set, edited []int, p task.Time) task.Time {
-	var d task.Time
-	for _, i := range edited {
-		d += dbf.HIMode(&cur[i], p) - dbf.HIMode(&c.base[i], p)
-	}
-	return d
 }
 
 // ratioGreater reports a/b > x/y for non-negative a, x and positive b, y
@@ -273,9 +263,8 @@ func (c *speedupCurve) walk(st *dbf.SetState, o Options) (SpeedupResult, bool) {
 	// Lower the edited tasks' demand columns once per walk: examined
 	// blocks are then bulk-evaluated column-major (curve value plus the
 	// exact per-position delta curPlan − basePlan) instead of chasing
-	// task structs per event. Options.NoPlan keeps the scalar deltaAt.
-	usePlan := !o.NoPlan && len(edited) > 0
-	if usePlan {
+	// task structs per event.
+	if len(edited) > 0 {
 		c.curPlan.CompileSubset(cur, edited, dbf.KindDBF)
 		c.basePlan.CompileSubset(c.base, edited, dbf.KindDBF)
 	}
@@ -287,10 +276,7 @@ func (c *speedupCurve) walk(st *dbf.SetState, o Options) (SpeedupResult, bool) {
 	// block test compares against it with certMargin slack, so float
 	// rounding in either direction can never skip a block the exact
 	// inequality would keep.
-	bound := rat.Zero
-	if !o.NoPrune {
-		bound = seedBound(cur, nil, o.WarmWitness, hyper, hyperOK)
-	}
+	bound := seedBound(cur, nil, o.WarmWitness, hyper, hyperOK)
 	bF := bound.Float64()
 	var bestV task.Time
 	bestP := task.Time(1)
@@ -298,7 +284,7 @@ func (c *speedupCurve) walk(st *dbf.SetState, o Options) (SpeedupResult, bool) {
 	events, jumps := 0, 0
 	n := len(c.pos)
 	for j := 0; j < n; {
-		if j%curveBlock == 0 && j+curveBlock < n && corrOK && bF > 0 && !o.NoPrune {
+		if j%curveBlock == 0 && j+curveBlock < n && corrOK && bF > 0 {
 			// Full block, not containing the final (rule-2) event.
 			mi := c.blockMaxIdx[j/curveBlock]
 			rmF := float64(c.val[mi]) / float64(c.pos[mi])
@@ -312,7 +298,7 @@ func (c *speedupCurve) walk(st *dbf.SetState, o Options) (SpeedupResult, bool) {
 		}
 		p := c.pos[j]
 		var dv task.Time
-		if usePlan {
+		if len(edited) > 0 {
 			if blk := j / curveBlock; blk != bufBlock {
 				lo := blk * curveBlock
 				hi := lo + curveBlock
@@ -325,8 +311,6 @@ func (c *speedupCurve) walk(st *dbf.SetState, o Options) (SpeedupResult, bool) {
 			}
 			r := j - bufBlock*curveBlock
 			dv = c.blockCur[r] - c.blockBase[r]
-		} else if len(edited) > 0 {
-			dv = c.deltaAt(cur, edited, p)
 		}
 		v := c.val[j] + dv
 		events++

@@ -299,12 +299,12 @@ func TestSetStateAggregatesMatchCold(t *testing.T) {
 // of the Corollary-5 inverse: any WarmResetWitness — the previous
 // decisive Δ, a random position, or the budget itself — must leave the
 // entire payload (Speed, Attained, WitnessDelta) bit-identical to the
-// cold walk, and never make the walk examine more events.
+// oracle's plain walk, and never make the walk examine more events.
 func TestMinSpeedForResetWarmWitnessInvariance(t *testing.T) {
 	budgets := []task.Time{7, 64, 500}
 	for si, s := range deltaSets(t) {
 		for _, b := range budgets {
-			cold, errC := MinSpeedForResetOpts(s, b, Options{NoPrune: true})
+			cold, errC := oracleMinSpeedForReset(s, b, Options{})
 			if _, errB := MinSpeedForResetOpts(s, b, Options{}); (errC == nil) != (errB == nil) {
 				t.Fatalf("set %d budget %d: error mismatch %v vs %v", si, b, errC, errB)
 			}
@@ -386,4 +386,47 @@ func FuzzDeltaEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSessionMatchesScalarGroundTruth drives an edit stream through a
+// Session and checks each re-analysis against the oracle walks — tying
+// the delta / session tier to the plainest possible evaluation of
+// Theorem 2 and Corollary 5 in one end-to-end differential.
+func TestSessionMatchesScalarGroundTruth(t *testing.T) {
+	rnd := rand.New(rand.NewSource(20260808))
+	base := prunedSets(t, 3)[0]
+	ss, err := NewSession(base, rat.Two)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nextName := 0
+	for step := 0; step < 25; step++ {
+		e, ok := randomEdit(rnd, ss.Set(), &nextName)
+		if !ok {
+			continue
+		}
+		if err := ss.Apply(e); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		r, _, err := ss.Report()
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		want, err := oracleMinSpeedup(ss.Set(), Options{})
+		if err != nil {
+			t.Fatalf("step %d: oracle MinSpeedup: %v", step, err)
+		}
+		if want.Exact && (!r.Speedup.Speedup.Eq(want.Speedup) || !r.Speedup.LowerBound.Eq(want.LowerBound) ||
+			r.Speedup.Exact != want.Exact || r.Speedup.WitnessDelta != want.WitnessDelta) {
+			t.Fatalf("step %d: session speedup %+v != oracle %+v:\n%s",
+				step, r.Speedup, want, ss.Set().Table())
+		}
+		wantReset, err := oracleResetTime(ss.Set(), rat.Two, Options{})
+		if err != nil {
+			t.Fatalf("step %d: oracle ResetTime: %v", step, err)
+		}
+		if !r.Reset.Reset.Eq(wantReset.Reset) {
+			t.Fatalf("step %d: session Δ_R %v != oracle %v", step, r.Reset.Reset, wantReset.Reset)
+		}
+	}
 }

@@ -36,11 +36,10 @@ type SpeedForResetResult struct {
 	// adjacent configuration's walk.
 	WitnessDelta task.Time
 	// Events is the number of slope-change events examined one by one.
-	// With pruning on (the default) it is never higher — and usually far
-	// lower — than with Options.NoPrune.
+	// It is never higher — and usually far lower — than the plain
+	// event-by-event walk of the infimum examines.
 	Events int
-	// Jumps is the number of incumbent bulk skips the pruned walk took.
-	// Always 0 under Options.NoPrune.
+	// Jumps is the number of incumbent bulk skips the walk took.
 	Jumps int
 }
 
@@ -70,19 +69,18 @@ func MinSpeedForReset(s task.Set, budget task.Time) (SpeedForResetResult, error)
 // pool) it is allocation-free, so sweeping many budgets over one set
 // costs no heap traffic beyond the first query.
 //
-// Unless Options.NoPrune is set, the walk bulk-skips runs of events the
-// running infimum proves irrelevant: the curve is non-decreasing, so with
-// v = ΣADB_HI(pos) every position Δ in (pos, b] has ratio
-// value(Δ)/Δ ≥ v/Δ ≥ v/b — and the same holds for the left limits, whose
-// values are also ≥ v. When b is chosen so that b·cutoff < v (the largest
-// such integer, rat.MaxIntBelowRatio), every skipped ratio and left limit
-// is therefore strictly above the cutoff: with cutoff = best none can
-// lower the infimum or flip Attained (which only changes on ratios
-// ≤ best), so the result is bit-identical to the unpruned walk. An
-// Options.WarmResetWitness tightens the cutoff to min(best, seed) before
-// the running infimum has caught up; the seed is itself a ratio of the
-// current curve at one position, hence ≥ the true infimum, and the skip
-// stays strict — every position whose ratio ties or beats the infimum
+// The walk bulk-skips runs of events the running infimum proves
+// irrelevant: the curve is non-decreasing, so with v = ΣADB_HI(pos) every
+// position Δ in (pos, b] has ratio value(Δ)/Δ ≥ v/Δ ≥ v/b — and the same
+// holds for the left limits, whose values are also ≥ v. When b is chosen
+// so that b·cutoff < v (the largest such integer, rat.MaxIntBelowRatio),
+// every skipped ratio and left limit is therefore strictly above the
+// cutoff: with cutoff = best none can lower the infimum or flip Attained
+// (which only changes on ratios ≤ best), so the result is bit-identical
+// to the plain event-by-event walk. An Options.WarmResetWitness tightens
+// the cutoff to min(best, seed) before the running infimum has caught
+// up; the seed is itself a ratio of the current curve at one position,
+// hence ≥ the true infimum, and the skip stays strict — every position whose ratio ties or beats the infimum
 // (in particular the decisive WitnessDelta and every Attained-deciding
 // point) is still examined, which is what keeps warm results
 // bit-identical to cold ones.
@@ -118,7 +116,7 @@ func MinSpeedForResetOpts(s task.Set, budget task.Time, o Options) (SpeedForRese
 	// Warm seed: the ratio at the prior decisive Δ (clamped to the
 	// budget) primes the skip cutoff; see the function comment.
 	cutoffSeed := rat.PosInf
-	if !o.NoPrune && o.WarmResetWitness > 0 {
+	if o.WarmResetWitness > 0 {
 		p := o.WarmResetWitness
 		if p > budget {
 			p = budget
@@ -131,15 +129,13 @@ func MinSpeedForResetOpts(s task.Set, budget task.Time, o Options) (SpeedForRese
 			break
 		}
 		// Incumbent bulk skip (see the function comment for the proof).
-		if !o.NoPrune {
-			if cutoff := rat.Min(best, cutoffSeed); cutoff.Sign() > 0 && !cutoff.IsInf() {
-				if v := w.Value(); v > 0 {
-					b := task.Time(rat.MaxIntBelowRatio(int64(v), cutoff, int64(budget)))
-					if b > next {
-						w.SkipTo(b)
-						jumps++
-						continue
-					}
+		if cutoff := rat.Min(best, cutoffSeed); cutoff.Sign() > 0 && !cutoff.IsInf() {
+			if v := w.Value(); v > 0 {
+				b := task.Time(rat.MaxIntBelowRatio(int64(v), cutoff, int64(budget)))
+				if b > next {
+					w.SkipTo(b)
+					jumps++
+					continue
 				}
 			}
 		}
@@ -177,6 +173,10 @@ func MinSpeedForResetOpts(s task.Set, budget task.Time, o Options) (SpeedForRese
 // inconclusive certificates (and every accepted candidate) pay the full
 // walk. Decisions are bit-identical to always walking: the certificate
 // skips exactly the walks whose comparison outcome it has proved.
+//
+// The searches carry one incrementally maintained dbf.SetState from
+// candidate to candidate and probe it in place; the full walk runs
+// minSpeedupState over the state's current set.
 type capProbe struct {
 	opts    Options
 	witness task.Time
@@ -195,28 +195,21 @@ func newCapProbe(o Options) *capProbe {
 	return &capProbe{opts: o}
 }
 
-// witnessValue evaluates the summed DBF at the probe's witness Δ through
-// the cross-candidate memo: the Scratch-owned dbf.PointMemo caches each
-// task's curve value keyed by its parameter tuple, so the stream of
-// closely related candidates a design search probes recomputes only the
-// tasks the last edit touched — O(changed) instead of O(n) — with a sum
-// exactly equal to the direct evaluation. Options.NoPlan bypasses the
-// memo (the differential tests' escape hatch, same as the columnar plan).
-func (p *capProbe) witnessValue(set task.Set) task.Time {
-	if p.opts.NoPlan {
-		return dbf.SetValue(set, dbf.KindDBF, p.witness)
-	}
-	return p.opts.Scratch.memo.Value(set, dbf.KindDBF, p.witness)
-}
-
 // atLeast reports whether the certificate proves s_min(set) ≥ bound
 // (strict > when strict is set). An inconclusive certificate reports
 // false — it never decides acceptance, only rejection.
+//
+// The summed DBF at the witness Δ is evaluated through the
+// cross-candidate memo: the Scratch-owned dbf.PointMemo caches each
+// task's curve value keyed by its parameter tuple, so the stream of
+// closely related candidates a design search probes recomputes only the
+// tasks the last edit touched — O(changed) instead of O(n) — with a sum
+// exactly equal to the direct evaluation.
 func (p *capProbe) atLeast(set task.Set, bound rat.Rat, strict bool) bool {
-	if p.opts.NoWarmStart || p.witness <= 0 {
+	if p.witness <= 0 {
 		return false
 	}
-	v := p.witnessValue(set)
+	v := p.opts.Scratch.memo.Value(set, dbf.KindDBF, p.witness)
 	c := bound.CmpRatio(int64(v), int64(p.witness))
 	if c < 0 || (c == 0 && !strict) {
 		p.pruned++
@@ -225,102 +218,49 @@ func (p *capProbe) atLeast(set task.Set, bound rat.Rat, strict bool) bool {
 	return false
 }
 
-// speedup runs the full Theorem-2 walk and refreshes the witness. The
-// previous walk's witness also warm-starts the new walk's incumbent
-// pruning (Options.WarmWitness): adjacent candidates share their decisive
-// Δ, so even the walks the rejection certificate could not avoid start
-// with a near-supremum skip cutoff. Sound for any witness — the ratio at
-// one Δ of *this* set lower-bounds this set's own supremum — and the
-// result is bit-identical regardless (see Options.WarmWitness).
-func (p *capProbe) speedup(set task.Set) (SpeedupResult, error) {
+// walk runs the Theorem-2 walk over the state's current set, stopping
+// early against cap when it is positive (see Options.CapHint), and
+// refreshes the witness. The previous walk's witness also warm-starts
+// the new walk's incumbent pruning (Options.WarmWitness): adjacent
+// candidates share their decisive Δ, so even the walks the rejection
+// certificate could not avoid start with a near-supremum skip cutoff.
+// Sound for any witness — the ratio at one Δ of *this* set lower-bounds
+// this set's own supremum — and the result is bit-identical regardless.
+func (p *capProbe) walk(st *dbf.SetState, cap rat.Rat) (SpeedupResult, error) {
 	p.walks++
 	opts := p.opts
-	if !opts.NoWarmStart {
-		opts.WarmWitness = p.witness
-	}
-	res, err := MinSpeedupOpts(set, opts)
+	opts.CapHint = cap
+	opts.WarmWitness = p.witness
+	res, err := minSpeedupState(st, opts)
 	if err == nil && res.WitnessDelta > 0 {
 		p.witness = res.WitnessDelta
 	}
 	return res, err
 }
 
-// meets decides s_min(set) ≤ cap, warm-starting at the witness. The walk
-// carries cap as its CapHint: it stops as soon as it has bracketed the
-// supremum against the cap (see Options.CapHint), and the bracket's safe
-// upper bound decides the comparison exactly as the full supremum would.
-func (p *capProbe) meets(set task.Set, cap rat.Rat) (bool, error) {
-	if p.atLeast(set, cap, true) {
-		return false, nil
-	}
-	p.walks++
-	opts := p.opts
-	opts.CapHint = cap
-	if !opts.NoWarmStart {
-		opts.WarmWitness = p.witness
-	}
-	res, err := MinSpeedupOpts(set, opts)
-	if err != nil {
-		return false, err
-	}
-	if res.WitnessDelta > 0 {
-		p.witness = res.WitnessDelta
-	}
-	return res.Speedup.Cmp(cap) <= 0, nil
-}
-
-// atLeastState, speedupState and meetsState are the probe over an
-// incrementally maintained SetState instead of a materialized candidate
-// set: the searches that edit one parameter per candidate (TuneDeadlines,
-// FeasibleXWindow, MinimalY) keep a single state and probe it in place.
-// The certificate evaluates the same summed DBF at the same witness, and
-// the full walk runs minSpeedupState over the same set values, so
-// decisions are bit-identical to the materialized path.
-
-func (p *capProbe) atLeastState(st *dbf.SetState, bound rat.Rat, strict bool) bool {
-	if p.opts.NoWarmStart || p.witness <= 0 {
-		return false
-	}
-	v := p.witnessValue(st.Tasks())
-	c := bound.CmpRatio(int64(v), int64(p.witness))
-	if c < 0 || (c == 0 && !strict) {
-		p.pruned++
-		return true
-	}
-	return false
-}
-
+// speedupState returns the exact supremum of the state's current set.
 func (p *capProbe) speedupState(st *dbf.SetState) (SpeedupResult, error) {
-	p.walks++
-	opts := p.opts
-	if !opts.NoWarmStart {
-		opts.WarmWitness = p.witness
-	}
-	res, err := minSpeedupState(st, opts)
-	if err == nil && res.WitnessDelta > 0 {
-		p.witness = res.WitnessDelta
-	}
-	return res, err
+	return p.walk(st, rat.Rat{})
 }
 
+// meetsState decides s_min ≤ cap for the state's current set: the
+// certificate first, then a walk that carries cap as its CapHint — it
+// stops as soon as it has bracketed the supremum against the cap, and
+// the bracket's safe upper bound decides the comparison exactly as the
+// full supremum would.
 func (p *capProbe) meetsState(st *dbf.SetState, cap rat.Rat) (bool, error) {
-	if p.atLeastState(st, cap, true) {
-		return false, nil
+	ok := false
+	if !p.atLeast(st.Tasks(), cap, true) {
+		res, err := p.walk(st, cap)
+		if err != nil {
+			return false, err
+		}
+		ok = res.Speedup.Cmp(cap) <= 0
 	}
-	p.walks++
-	opts := p.opts
-	opts.CapHint = cap
-	if !opts.NoWarmStart {
-		opts.WarmWitness = p.witness
+	if audit := p.opts.Scratch.audit; audit != nil {
+		audit(st.Tasks(), cap, ok)
 	}
-	res, err := minSpeedupState(st, opts)
-	if err != nil {
-		return false, err
-	}
-	if res.WitnessDelta > 0 {
-		p.witness = res.WitnessDelta
-	}
-	return res.Speedup.Cmp(cap) <= 0, nil
+	return ok, nil
 }
 
 // MinimalY finds the smallest uniform service-degradation factor y ≥ 1
@@ -359,6 +299,10 @@ func MinimalYOpts(s task.Set, speedCap rat.Rat, o Options) (rat.Rat, task.Set, e
 	o, borrowed := borrowScratch(o)
 	defer releaseScratch(borrowed)
 	probe := newCapProbe(o)
+	st, err := dbf.NewSetState(s)
+	if err != nil {
+		return rat.Rat{}, nil, err
+	}
 
 	// The LO tasks to degrade; their LO-mode parameters never change, so
 	// each candidate's floor(y·D(LO)), floor(y·T(LO)) values derive from
@@ -374,7 +318,7 @@ func MinimalYOpts(s task.Set, speedCap rat.Rat, o Options) (rat.Rat, task.Set, e
 		}
 	}
 	if len(los) == 0 {
-		ok, err := probe.meets(s, speedCap)
+		ok, err := probe.meetsState(st, speedCap)
 		if err != nil {
 			return rat.Rat{}, nil, err
 		}
@@ -384,10 +328,6 @@ func MinimalYOpts(s task.Set, speedCap rat.Rat, o Options) (rat.Rat, task.Set, e
 		return rat.One, s.Clone(), nil
 	}
 
-	st, err := dbf.NewSetState(s)
-	if err != nil {
-		return rat.Rat{}, nil, err
-	}
 	// One preallocated two-parameter edit, reused for every transition:
 	// D(HI) and T(HI) move together atomically (their intermediate
 	// states could violate the constrained-deadline invariant).

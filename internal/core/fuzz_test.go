@@ -8,78 +8,47 @@ import (
 	"mcspeedup/internal/task"
 )
 
-// FuzzWalkEquivalence drives the pruned and unpruned event walks over
-// fuzzer-chosen random task sets and asserts they agree on every exact
-// result, for all three analyses. The skip certificates (incumbent ratio
-// cutoffs, QPA fast-forward, infimum skips) must be behaviour-preserving
-// on every input, not just the seeded corpus — any payload divergence or
-// a pruned walk examining MORE events is a bug.
+// FuzzWalkEquivalence drives the production walks and the oracle walks
+// (oracle_test.go) over fuzzer-chosen random task sets and asserts they
+// agree on every exact result, for all three analyses. The columnar
+// plans and the skip certificates (incumbent ratio cutoffs, QPA
+// fast-forward, infimum skips) must be behaviour-preserving on every
+// input, not just the seeded corpus — any payload divergence or a
+// production walk examining MORE events than the oracle is a bug.
 func FuzzWalkEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(20), uint8(2), uint16(100))
 	f.Add(int64(42), uint8(1), uint8(5), uint8(0), uint16(1))
 	f.Add(int64(20260805), uint8(5), uint8(60), uint8(7), uint16(5000))
 	f.Add(int64(-7), uint8(2), uint8(120), uint8(15), uint16(300))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, maxPRaw, speedRaw uint8, budgetRaw uint16) {
-		rnd := rand.New(rand.NewSource(seed))
-		s := randomSet(rnd, 1+int(nRaw%5), 3+int64(maxPRaw%120))
-		if s.Validate() != nil {
-			t.Skip() // randomSet can emit degenerate degraded tasks for tiny periods
-		}
-		// Generous MaxEvents keeps gen-set walks exact; the equality
-		// properties below only bind when the unpruned result is exact.
-		opts := Options{MaxEvents: 2_000_000}
-		cold := opts
-		cold.NoPrune = true
-
-		unpruned, errU := MinSpeedupOpts(s, cold)
-		pruned, errP := MinSpeedupOpts(s, opts)
-		if (errU == nil) != (errP == nil) {
-			t.Fatalf("MinSpeedup error mismatch: %v vs %v\n%s", errU, errP, s.Table())
-		}
-		if errU == nil {
-			if pruned.Events > unpruned.Events {
-				t.Fatalf("MinSpeedup pruned examined %d > unpruned %d\n%s",
-					pruned.Events, unpruned.Events, s.Table())
-			}
-			if unpruned.Exact {
-				if !pruned.Speedup.Eq(unpruned.Speedup) || !pruned.LowerBound.Eq(unpruned.LowerBound) ||
-					pruned.Exact != unpruned.Exact || pruned.WitnessDelta != unpruned.WitnessDelta {
-					t.Fatalf("MinSpeedup pruned %+v != unpruned %+v\n%s", pruned, unpruned, s.Table())
-				}
-			}
-		}
-
-		speed := rat.New(int64(speedRaw%40)+10, 10) // 1.0 .. 4.9
-		rrU, errU := ResetTimeOpts(s, speed, cold)
-		rrP, errP := ResetTimeOpts(s, speed, opts)
-		if (errU == nil) != (errP == nil) {
-			t.Fatalf("ResetTime(%v) error mismatch: %v vs %v\n%s", speed, errU, errP, s.Table())
-		}
-		if errU == nil {
-			if !rrP.Reset.Eq(rrU.Reset) {
-				t.Fatalf("ResetTime(%v) pruned Δ_R %v != unpruned %v\n%s", speed, rrP.Reset, rrU.Reset, s.Table())
-			}
-			if rrP.Events > rrU.Events {
-				t.Fatalf("ResetTime(%v) pruned examined %d > unpruned %d\n%s",
-					speed, rrP.Events, rrU.Events, s.Table())
-			}
-		}
-
-		budget := task.Time(budgetRaw) + 1
-		srU, errU := MinSpeedForResetOpts(s, budget, cold)
-		srP, errP := MinSpeedForResetOpts(s, budget, opts)
-		if (errU == nil) != (errP == nil) {
-			t.Fatalf("MinSpeedForReset(%d) error mismatch: %v vs %v\n%s", budget, errU, errP, s.Table())
-		}
-		if errU == nil {
-			if !srP.Speed.Eq(srU.Speed) || srP.Attained != srU.Attained {
-				t.Fatalf("MinSpeedForReset(%d) pruned (%v, %v) != unpruned (%v, %v)\n%s",
-					budget, srP.Speed, srP.Attained, srU.Speed, srU.Attained, s.Table())
-			}
-			if srP.Events > srU.Events {
-				t.Fatalf("MinSpeedForReset(%d) pruned examined %d > unpruned %d\n%s",
-					budget, srP.Events, srU.Events, s.Table())
-			}
-		}
+		checkOracleEquivalence(t, seed, nRaw, maxPRaw, speedRaw, task.Time(budgetRaw)+1)
 	})
+}
+
+// FuzzPlanEquivalence is FuzzWalkEquivalence with the reset budget pinned
+// to its smallest value, so the columnar lowering is also fuzzed on the
+// speed-for-reset walk's tightest budget.
+func FuzzPlanEquivalence(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint8(20), uint8(2))
+	f.Add(int64(42), uint8(1), uint8(5), uint8(0))
+	f.Add(int64(20260808), uint8(5), uint8(60), uint8(7))
+	f.Add(int64(-11), uint8(2), uint8(120), uint8(15))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, maxPRaw, speedRaw uint8) {
+		checkOracleEquivalence(t, seed, nRaw, maxPRaw, speedRaw, 1)
+	})
+}
+
+// checkOracleEquivalence is the body shared by both fuzz targets.
+func checkOracleEquivalence(t *testing.T, seed int64, nRaw, maxPRaw, speedRaw uint8, budget task.Time) {
+	rnd := rand.New(rand.NewSource(seed))
+	s := randomSet(rnd, 1+int(nRaw%5), 3+int64(maxPRaw%120))
+	if s.Validate() != nil {
+		t.Skip() // randomSet can emit degenerate degraded tasks for tiny periods
+	}
+	// A generous MaxEvents keeps the walks exact; the equality
+	// properties only bind when the oracle result is exact.
+	o := Options{MaxEvents: 2_000_000}
+	checkMinSpeedup(t, s, o)
+	checkResetTime(t, s, rat.New(int64(speedRaw%40)+10, 10), o) // speed 1.0 .. 4.9
+	checkMinSpeedForReset(t, s, budget, o)
 }

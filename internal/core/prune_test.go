@@ -12,11 +12,11 @@ import (
 )
 
 // Property tests pinning the incumbent bulk-skip pruning inside the event
-// walks themselves (Options.NoPrune): for every exact result, the pruned
-// (default) and unpruned walks must agree on every payload field — only
-// the Events/Jumps accounting may differ, and Events never upward. The
-// skip certificates are only allowed to discard events they have proved
-// irrelevant, so any divergence here is a soundness bug.
+// walks: for every exact result, the pruned production walks and the
+// unpruned oracle walks (oracle_test.go) must agree on every payload
+// field — only the Events/Jumps accounting may differ, and Events never
+// upward. The skip certificates are only allowed to discard events they
+// have proved irrelevant, so any divergence here is a soundness bug.
 
 // prunedSets yields generator sets plus, when feasible, their y = 2
 // MinimalX preparations — the configuration the experiments analyze.
@@ -58,78 +58,54 @@ func fmsPreparedSet(t testing.TB) task.Set {
 }
 
 func TestMinSpeedupPrunedUnprunedIdentical(t *testing.T) {
-	for i, s := range prunedSets(t, 30) {
-		unpruned, errU := MinSpeedupOpts(s, Options{NoPrune: true})
-		pruned, errP := MinSpeedup(s)
-		if (errU == nil) != (errP == nil) {
-			t.Fatalf("set %d: error mismatch: %v vs %v", i, errU, errP)
-		}
-		if errU != nil {
-			continue
-		}
-		if unpruned.Jumps != 0 {
-			t.Fatalf("set %d: unpruned walk reported %d jumps", i, unpruned.Jumps)
-		}
-		if pruned.Events > unpruned.Events {
-			t.Fatalf("set %d: pruned examined %d events > unpruned %d:\n%s",
-				i, pruned.Events, unpruned.Events, s.Table())
-		}
-		if !unpruned.Exact {
-			continue // MaxEvents-capped results may legitimately differ
-		}
-		if !pruned.Speedup.Eq(unpruned.Speedup) || !pruned.LowerBound.Eq(unpruned.LowerBound) ||
-			pruned.Exact != unpruned.Exact || pruned.WitnessDelta != unpruned.WitnessDelta {
-			t.Fatalf("set %d: pruned %+v != unpruned %+v:\n%s", i, pruned, unpruned, s.Table())
-		}
+	for _, s := range prunedSets(t, 30) {
+		checkMinSpeedup(t, s, Options{})
 	}
 }
 
 func TestResetTimePrunedUnprunedIdentical(t *testing.T) {
 	speeds := []rat.Rat{rat.New(9, 10), rat.One, rat.New(3, 2), rat.Two, rat.FromInt64(3)}
-	for i, s := range prunedSets(t, 20) {
+	for _, s := range prunedSets(t, 20) {
 		for _, sp := range speeds {
-			unpruned, errU := ResetTimeOpts(s, sp, Options{NoPrune: true})
-			pruned, errP := ResetTime(s, sp)
-			if (errU == nil) != (errP == nil) {
-				t.Fatalf("set %d speed %v: error mismatch: %v vs %v", i, sp, errU, errP)
-			}
-			if errU != nil {
-				continue
-			}
-			if !pruned.Reset.Eq(unpruned.Reset) {
-				t.Fatalf("set %d speed %v: pruned Δ_R %v != unpruned %v:\n%s",
-					i, sp, pruned.Reset, unpruned.Reset, s.Table())
-			}
-			if pruned.Events > unpruned.Events {
-				t.Fatalf("set %d speed %v: pruned examined %d events > unpruned %d",
-					i, sp, pruned.Events, unpruned.Events)
-			}
-			if unpruned.Jumps != 0 {
-				t.Fatalf("set %d speed %v: unpruned walk reported %d jumps", i, sp, unpruned.Jumps)
-			}
+			checkResetTime(t, s, sp, Options{})
 		}
 	}
 }
 
 func TestMinSpeedForResetPrunedUnprunedIdentical(t *testing.T) {
 	budgets := []task.Time{1, 7, 100, 5_000, 50_000}
-	for i, s := range prunedSets(t, 20) {
+	for _, s := range prunedSets(t, 20) {
 		for _, b := range budgets {
-			unpruned, errU := MinSpeedForResetOpts(s, b, Options{NoPrune: true})
-			pruned, errP := MinSpeedForReset(s, b)
-			if (errU == nil) != (errP == nil) {
-				t.Fatalf("set %d budget %d: error mismatch: %v vs %v", i, b, errU, errP)
+			checkMinSpeedForReset(t, s, b, Options{})
+		}
+	}
+}
+
+// TestCapHintNeverChangesDecision pins Options.CapHint's contract
+// directly: against arbitrary caps, the early cap-decision walk must
+// reach the same accept/reject verdict as the oracle's exact supremum,
+// with a truthful LowerBound.
+func TestCapHintNeverChangesDecision(t *testing.T) {
+	caps := []rat.Rat{rat.New(1, 2), rat.One, rat.New(5, 4), rat.New(3, 2), rat.Two, rat.FromInt64(4)}
+	for i, s := range prunedSets(t, 15) {
+		full, err := oracleMinSpeedup(s, Options{})
+		if err != nil || !full.Exact {
+			continue
+		}
+		for _, cap := range caps {
+			res, err := MinSpeedupOpts(s, Options{CapHint: cap})
+			if err != nil {
+				t.Fatalf("set %d cap %v: %v", i, cap, err)
 			}
-			if errU != nil {
-				continue
+			if got, want := res.Speedup.Cmp(cap) <= 0, full.Speedup.Cmp(cap) <= 0; got != want {
+				t.Fatalf("set %d cap %v: hinted decision %v != exact decision %v (hinted %+v, oracle %+v)",
+					i, cap, got, want, res, full)
 			}
-			if !pruned.Speed.Eq(unpruned.Speed) || pruned.Attained != unpruned.Attained {
-				t.Fatalf("set %d budget %d: pruned (%v, %v) != unpruned (%v, %v):\n%s",
-					i, b, pruned.Speed, pruned.Attained, unpruned.Speed, unpruned.Attained, s.Table())
+			if res.LowerBound.Cmp(full.Speedup) > 0 {
+				t.Fatalf("set %d cap %v: LowerBound %v exceeds exact supremum %v", i, cap, res.LowerBound, full.Speedup)
 			}
-			if pruned.Events > unpruned.Events {
-				t.Fatalf("set %d budget %d: pruned examined %d events > unpruned %d",
-					i, b, pruned.Events, unpruned.Events)
+			if res.Speedup.Cmp(res.LowerBound) < 0 {
+				t.Fatalf("set %d cap %v: Speedup %v below LowerBound %v", i, cap, res.Speedup, res.LowerBound)
 			}
 		}
 	}
@@ -160,50 +136,55 @@ func TestMinSpeedupWarmWitnessInvariance(t *testing.T) {
 	}
 }
 
+// The oracle's event counts on the prepared FMS set (Fig. 5b) at speed 2
+// and reset budget 50 000: the plain walks' cost, against which the
+// pruning's win is measured. The oracle is frozen, so these only move if
+// the FMS set or its preparation does.
+const (
+	fmsOracleSpeedupEvents       = 2436
+	fmsOracleResetEvents         = 27
+	fmsOracleSpeedForResetEvents = 303
+)
+
 // TestFMSPruningStrictlyFewerEvents pins the acceptance criterion on the
-// paper's flight-management set: pruning must examine strictly fewer
-// events than the plain walk, with at least one bulk skip, on all three
-// analyses.
+// paper's flight-management set: each production walk must examine
+// strictly fewer events than the oracle, with at least one bulk skip, on
+// all three analyses.
 func TestFMSPruningStrictlyFewerEvents(t *testing.T) {
 	prepared := fmsPreparedSet(t)
-
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	sp, err := MinSpeedup(prepared)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spCold, err := MinSpeedupOpts(prepared, Options{NoPrune: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.Events >= spCold.Events || sp.Jumps == 0 {
-		t.Fatalf("MinSpeedup: pruned events=%d jumps=%d vs unpruned events=%d — expected strict win",
-			sp.Events, sp.Jumps, spCold.Events)
-	}
-
+	must(err)
+	spO, err := oracleMinSpeedup(prepared, Options{})
+	must(err)
 	rr, err := ResetTime(prepared, rat.Two)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rrCold, err := ResetTimeOpts(prepared, rat.Two, Options{NoPrune: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rr.Events >= rrCold.Events || rr.Jumps == 0 {
-		t.Fatalf("ResetTime: pruned events=%d jumps=%d vs unpruned events=%d — expected strict win",
-			rr.Events, rr.Jumps, rrCold.Events)
-	}
-
+	must(err)
+	rrO, err := oracleResetTime(prepared, rat.Two, Options{})
+	must(err)
 	sr, err := MinSpeedForReset(prepared, 50_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srCold, err := MinSpeedForResetOpts(prepared, 50_000, Options{NoPrune: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr.Events >= srCold.Events || sr.Jumps == 0 {
-		t.Fatalf("MinSpeedForReset: pruned events=%d jumps=%d vs unpruned events=%d — expected strict win",
-			sr.Events, sr.Jumps, srCold.Events)
+	must(err)
+	srO, err := oracleMinSpeedForReset(prepared, 50_000, Options{})
+	must(err)
+	for _, c := range []struct {
+		name                        string
+		events, jumps, oracle, want int
+	}{
+		{"MinSpeedup", sp.Events, sp.Jumps, spO.Events, fmsOracleSpeedupEvents},
+		{"ResetTime", rr.Events, rr.Jumps, rrO.Events, fmsOracleResetEvents},
+		{"MinSpeedForReset", sr.Events, sr.Jumps, srO.Events, fmsOracleSpeedForResetEvents},
+	} {
+		if c.oracle != c.want {
+			t.Errorf("%s: oracle examined %d events, pinned %d", c.name, c.oracle, c.want)
+		}
+		if c.events >= c.oracle || c.jumps == 0 {
+			t.Errorf("%s: events=%d jumps=%d vs oracle events=%d — expected a strict win",
+				c.name, c.events, c.jumps, c.oracle)
+		}
 	}
 }
 

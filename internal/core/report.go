@@ -40,10 +40,8 @@ func Analyze(s task.Set, speed rat.Rat) (Report, error) {
 }
 
 // AnalyzeOpts is Analyze with explicit walk options — Scratch reuse for
-// tight loops, event caps, and the NoPlan/NoPrune escape hatches the
-// differential tests and ablation experiments compare against. Every
-// option is behavior-preserving by Options' contract, so the report is
-// byte-identical for any o.
+// tight loops and event caps. A Scratch never changes a result, so the
+// report is byte-identical with or without one.
 func AnalyzeOpts(s task.Set, speed rat.Rat, o Options) (Report, error) {
 	if err := s.Validate(); err != nil {
 		return Report{}, err

@@ -18,12 +18,12 @@ type ResetResult struct {
 	// drains).
 	Reset rat.Rat
 	// Events is the number of slope-change events examined one by one.
-	// With pruning on (the default) it is never higher — and usually far
-	// lower — than with Options.NoPrune.
+	// It is never higher — and usually far lower — than the plain
+	// event-by-event walk of eq. (12) examines.
 	Events int
-	// Jumps is the number of QPA-style bulk skips the pruned walk took
-	// (each fast-forwarded the walker past events that provably precede
-	// the crossing). Always 0 under Options.NoPrune.
+	// Jumps is the number of QPA-style bulk skips the walk took (each
+	// fast-forwarded the walker past events that provably precede the
+	// crossing).
 	Jumps int
 }
 
@@ -43,15 +43,15 @@ type ResetResult struct {
 // ADB ≤ U_HI·Δ + 2ΣC(HI) guarantees a crossing no later than
 // 2ΣC(HI)/(speed − U_HI), so the walk always terminates.
 //
-// Unless Options.NoPrune is set, the walk additionally fast-forwards in
-// the style of Zhang & Burns' QPA iteration (see qpaLO): the curve is
-// non-decreasing, so with v = ΣADB_HI(pos) the condition fails strictly
-// for every Δ < v/speed — supply speed·Δ < v ≤ demand(Δ) — which proves
-// the crossing lies at or beyond floor(v/speed). When that target clears
-// the next event the walker jumps straight to it instead of popping the
-// intermediate events one by one. The returned Reset is bit-identical
-// either way: the skipped range contains no crossing, and the landing
-// re-enters the same left-endpoint / segment-crossing logic.
+// The walk additionally fast-forwards in the style of Zhang & Burns' QPA
+// iteration (see qpaLO): the curve is non-decreasing, so with
+// v = ΣADB_HI(pos) the condition fails strictly for every Δ < v/speed —
+// supply speed·Δ < v ≤ demand(Δ) — which proves the crossing lies at or
+// beyond floor(v/speed). When that target clears the next event the
+// walker jumps straight to it instead of popping the intermediate events
+// one by one. The returned Reset is bit-identical to the plain
+// event-by-event walk's: the skipped range contains no crossing, and the
+// landing re-enters the same left-endpoint / segment-crossing logic.
 func ResetTime(s task.Set, speed rat.Rat) (ResetResult, error) {
 	return ResetTimeOpts(s, speed, Options{})
 }
@@ -139,12 +139,10 @@ func resetTimeWalk(s task.Set, speed, uHI rat.Rat, o Options) (ResetResult, erro
 		// QPA jump: no Δ below v/speed can satisfy the condition (see
 		// the function comment), so when floor(v/speed) clears the next
 		// event, fast-forward there instead of popping events singly.
-		if !o.NoPrune {
-			if t0 := task.Time(rat.FloorDiv(int64(v), speed)); t0 > next {
-				w.SkipTo(t0)
-				jumps++
-				continue
-			}
+		if t0 := task.Time(rat.FloorDiv(int64(v), speed)); t0 > next {
+			w.SkipTo(t0)
+			jumps++
+			continue
 		}
 		w.Next()
 		events++

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"mcspeedup/internal/dbf"
+	"mcspeedup/internal/rat"
 	"mcspeedup/internal/task"
 )
 
@@ -35,6 +36,12 @@ type Scratch struct {
 	// differ in one task) recompute only that task's column. Owned by
 	// the Scratch so a search stream stays allocation-free.
 	memo dbf.PointMemo
+
+	// audit, when non-nil, observes every capProbe.meetsState verdict:
+	// the candidate set (borrowed — clone it to keep it), the cap, and
+	// whether s_min ≤ cap was decided. Tests set it to check each
+	// decision of a design search against the plain Theorem-2 walk.
+	audit func(set task.Set, cap rat.Rat, meets bool)
 }
 
 // walkerPool recycles walker state across analyses that were not handed
@@ -78,11 +85,7 @@ func releaseScratch(sc *Scratch) {
 // to the package pool otherwise. Pair every acquire with releaseWalker.
 func (o Options) acquireWalker(s task.Set, kind dbf.Kind) *hiWalker {
 	w := o.pickWalker()
-	if o.NoPlan {
-		w.Reset(s, kind)
-	} else {
-		w.ResetPlanned(s, kind)
-	}
+	w.Reset(s, kind)
 	return w
 }
 

@@ -155,9 +155,13 @@ func TestCapProbePrunes(t *testing.T) {
 	if cap.Sign() <= 0 {
 		t.Skip("speedup too small to carve a cap below it")
 	}
+	st, err := dbf.NewSetState(s)
+	if err != nil {
+		t.Fatal(err)
+	}
 	probe := newCapProbe(Options{})
 	for i := 0; i < 5; i++ {
-		ok, err := probe.meets(s, cap)
+		ok, err := probe.meetsState(st, cap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,15 +174,16 @@ func TestCapProbePrunes(t *testing.T) {
 			probe.walks, probe.pruned)
 	}
 
-	// With NoWarmStart every query must pay a walk.
-	cold := newCapProbe(Options{NoWarmStart: true})
+	// A fresh probe has no witness yet, so its first query must pay a
+	// walk.
 	for i := 0; i < 3; i++ {
-		if _, err := cold.meets(s, cap); err != nil {
+		cold := newCapProbe(Options{})
+		if _, err := cold.meetsState(st, cap); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if cold.walks != 3 || cold.pruned != 0 {
-		t.Fatalf("NoWarmStart: walks=%d pruned=%d, want 3 and 0", cold.walks, cold.pruned)
+		if cold.walks != 1 || cold.pruned != 0 {
+			t.Fatalf("fresh probe %d: walks=%d pruned=%d, want 1 and 0", i, cold.walks, cold.pruned)
+		}
 	}
 }
 

@@ -119,7 +119,7 @@ func TuneDeadlinesOpts(s task.Set, step rat.Rat, o Options) (TuneResult, error) 
 			// LO-mode feasibility first, then the certificate:
 			// s_min(cand) ≥ bestVal already proves the move cannot
 			// strictly improve this round.
-			if schedulableLOState(st) && !probe.atLeastState(st, bestVal, false) {
+			if schedulableLOState(st) && !probe.atLeast(st.Tasks(), bestVal, false) {
 				sp, err := probe.speedupState(st)
 				if err != nil {
 					return TuneResult{}, err

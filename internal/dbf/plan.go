@@ -39,7 +39,7 @@ type Plan struct {
 	off    []task.Time // carry-over ramp start phase within [0, T)
 	end    []task.Time // ramp end phase: min(off + C(LO), T)
 	cLO    []task.Time // C(LO): the ramp's height cap
-	cHI    []task.Time // C(HI): the per-period increment (Advance constant)
+	cHI    []task.Time // C(HI): the per-period increment
 	dC     []task.Time // C(HI) − C(LO): the carry-over surplus
 	add    []task.Time // per-evaluation constant: C(HI) for KindADB, else 0
 	inv    []float64   // 1/float64(period): the divFloor reciprocal
@@ -227,8 +227,9 @@ func (p *Plan) TaskStep(i int, delta task.Time) (v, slope, next task.Time, ok bo
 
 // TaskValueFrom returns row i's value at target given its value at from
 // (from ≤ target), using the exact periodicity curve(Δ+kT) = curve(Δ) +
-// k·C(HI) when the jump is a whole number of periods — the same closed
-// form as Advance — and direct evaluation otherwise.
+// k·C(HI) when the jump is a whole number of periods — both HI-mode
+// curves repeat with T(HI), since the window term of Lemma 1 / Theorem 4
+// depends only on Δ mod T(HI) — and direct evaluation otherwise.
 func (p *Plan) TaskValueFrom(i int, fromVal, from, target task.Time) task.Time {
 	period := p.period[i]
 	if period == 0 {

@@ -70,46 +70,6 @@ func TestQuickDBFInvariants(t *testing.T) {
 	}
 }
 
-// TestQuickAdvanceClosedForm: Advance's O(1) periodic jump agrees with
-// direct evaluation — curve(Δ + k·T) = curve(Δ) + k·C(HI) — for arbitrary
-// tasks, offsets and period counts, on both HI-mode curves. Terminated
-// tasks must come back unchanged (their curves are constant).
-func TestQuickAdvanceClosedForm(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 4000, Rand: rand.New(rand.NewSource(213))}
-	eval := func(tk *task.Task, kind Kind, d task.Time) task.Time {
-		if kind == KindDBF {
-			return HIMode(tk, d)
-		}
-		return ADB(tk, d)
-	}
-	prop := func(p, a, b, c uint16, hi bool, mode uint8, dRaw uint16, kRaw uint8) bool {
-		tk := quickTask(p, a, b, c, hi, mode)
-		if tk.Validate() != nil {
-			return false
-		}
-		k := task.Time(kRaw % 40)
-		for _, kind := range []Kind{KindDBF, KindADB} {
-			if tk.Terminated() {
-				d := task.Time(dRaw)
-				v := eval(&tk, kind, d)
-				if Advance(&tk, v, k) != v || eval(&tk, kind, d+task.Time(kRaw)) != v {
-					return false
-				}
-				continue
-			}
-			d := task.Time(dRaw) % (3 * tk.Period[task.HI])
-			v := eval(&tk, kind, d)
-			if Advance(&tk, v, k) != eval(&tk, kind, d+k*tk.Period[task.HI]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestQuickPeriodicityAndEvents: the exact periodicity identity and the
 // event-iterator contract (events strictly increase, slopes are 0/1)
 // hold for arbitrary tasks.

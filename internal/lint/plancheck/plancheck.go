@@ -18,16 +18,8 @@
 //     plan from the set fingerprint that keyed it, breaking the
 //     "plan reuse requires fingerprint match" rule that PointMemo.Value
 //     checks internally.
-//  3. Escape hatch: inside internal/core, every function that *decides*
-//     to use a plan — calls dbf.CompilePlan, Plan.Compile/CompileSubset,
-//     PointMemo.Value, or hiWalker.ResetPlanned/Plan — must read
-//     Options.NoPlan. A decision site without the flag cannot be
-//     switched to the scalar path, which breaks the plan-vs-legacy
-//     differential and fuzz equivalence tests.
 //
-// Test files are exempt everywhere (the differential tests deliberately
-// drive both paths), and the hiWalker methods themselves are exempt from
-// rule 3 (ResetPlanned is the mechanism, not a policy site).
+// Test files are exempt everywhere.
 package plancheck
 
 import (
@@ -45,7 +37,7 @@ const (
 // Analyzer is the plancheck analyzer.
 var Analyzer = &lint.Analyzer{
 	Name: "plancheck",
-	Doc:  "confine the columnar demand-plan API to internal/dbf + internal/core and require Options.NoPlan at every plan decision site",
+	Doc:  "confine the columnar demand-plan API to internal/dbf + internal/core",
 	Run:  run,
 }
 
@@ -54,22 +46,13 @@ func run(pass *lint.Pass) error {
 	if pkgPath == dbfPkgPath {
 		return nil
 	}
-	inCore := pkgPath == corePkgPath
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f.Pos()) {
 			continue
 		}
 		checkLiterals(pass, f)
-		if !inCore {
+		if pkgPath != corePkgPath {
 			checkConfinement(pass, f)
-			continue
-		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || isWalkerMethod(fd) {
-				continue
-			}
-			checkDecision(pass, fd)
 		}
 	}
 	return nil
@@ -110,78 +93,6 @@ func checkConfinement(pass *lint.Pass, f *ast.File) {
 		}
 		return true
 	})
-}
-
-// checkDecision applies rule 3 to one internal/core function body: a
-// plan decision call requires a read of Options.NoPlan in the same
-// function.
-func checkDecision(pass *lint.Pass, fd *ast.FuncDecl) {
-	var (
-		decision    ast.Node // first plan decision call
-		decisionSel string
-		readsNoPlan bool
-	)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		obj := pass.TypesInfo.Uses[sel.Sel]
-		if obj == nil || obj.Pkg() == nil {
-			return true
-		}
-		switch obj := obj.(type) {
-		case *types.Func:
-			if isDecisionFunc(pass, obj) && decision == nil {
-				decision, decisionSel = sel, sel.Sel.Name
-			}
-		case *types.Var:
-			if obj.IsField() && obj.Name() == "NoPlan" && obj.Pkg().Path() == pass.Pkg.Path() {
-				readsNoPlan = true
-			}
-		}
-		return true
-	})
-	if decision != nil && !readsNoPlan {
-		pass.Reportf(decision.Pos(), "%s selects the columnar plan path (%s) without reading Options.NoPlan: every plan decision site needs the escape hatch so the differential tests can compare planned and scalar walks", fd.Name.Name, decisionSel)
-	}
-}
-
-// isDecisionFunc reports whether fn is one of the entry points that
-// commits a walk or probe to the columnar plan path.
-func isDecisionFunc(pass *lint.Pass, fn *types.Func) bool {
-	recv := recvTypeName(fn)
-	if fn.Pkg().Path() == pass.Pkg.Path() {
-		// hiWalker.ResetPlanned compiles the plan; hiWalker.Plan hands it
-		// out for direct probing.
-		return recv == "hiWalker" && (fn.Name() == "ResetPlanned" || fn.Name() == "Plan")
-	}
-	if lint.CanonicalPath(fn.Pkg().Path()) != dbfPkgPath {
-		return false
-	}
-	switch recv {
-	case "":
-		return fn.Name() == "CompilePlan"
-	case "Plan":
-		return fn.Name() == "Compile" || fn.Name() == "CompileSubset"
-	case "PointMemo":
-		return fn.Name() == "Value"
-	}
-	return false
-}
-
-// isWalkerMethod reports whether fd is declared on hiWalker (the walk
-// mechanism itself, exempt from the decision rule).
-func isWalkerMethod(fd *ast.FuncDecl) bool {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return false
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	id, ok := t.(*ast.Ident)
-	return ok && id.Name == "hiWalker"
 }
 
 // recvTypeName returns the name of fn's receiver named type ("" for

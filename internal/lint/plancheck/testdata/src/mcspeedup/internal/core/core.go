@@ -1,83 +1,44 @@
 // Package core is the plancheck testdata mirror of internal/core: the
-// walker shape, the Options escape hatch, and both the clean and the
-// flagged ways of reaching the columnar plan.
+// walker shape and the ways the analysis layer reaches the columnar
+// plan, all clean here except a hand-built plan.
 package core
 
 import "mcspeedup/internal/dbf"
 
-// Options mirrors the real walk options.
-type Options struct {
-	NoPlan bool
-}
-
 // hiWalker mirrors the real walker: it embeds the plan as a zero-value
-// field (fine — not a composite literal) and its methods are exempt from
-// the decision rule.
+// field (fine — not a composite literal).
 type hiWalker struct {
-	plan    dbf.Plan
-	planned bool
+	plan dbf.Plan
 }
 
-// ResetPlanned is the mechanism: it compiles the plan but is a hiWalker
-// method, so the NoPlan read is its caller's obligation.
-func (w *hiWalker) ResetPlanned(s []int) {
+// Reset compiles the walker's plan.
+func (w *hiWalker) Reset(s []int) {
 	w.plan.Compile(s, 0)
-	w.planned = true
 }
 
-// Plan hands out the compiled plan (also exempt as a hiWalker method).
+// Plan hands out the compiled plan.
 func (w *hiWalker) Plan() *dbf.Plan { return &w.plan }
 
-// acquireWalker is the clean decision site: it reads Options.NoPlan
-// before committing to the planned path.
-func acquireWalker(o Options, s []int) *hiWalker {
+// planWalk probes through the walker's plan.
+func planWalk(s []int) int64 {
 	w := &hiWalker{}
-	if o.NoPlan {
-		return w
-	}
-	w.ResetPlanned(s)
-	return w
-}
-
-// plannedWalk is clean: it probes through the walker's plan and reads
-// the escape hatch.
-func plannedWalk(o Options, s []int) int64 {
-	w := acquireWalker(o, s)
-	if o.NoPlan {
-		return 0
-	}
+	w.Reset(s)
 	return w.Plan().Value(4)
 }
 
-// memoProbe is clean: the fingerprint-keyed memo consult is guarded by
-// the escape hatch.
-func memoProbe(o Options, m *dbf.PointMemo, s []int) int64 {
-	if o.NoPlan {
-		return 0
-	}
+// compiled calls the package-level compiler.
+func compiled(s []int) *dbf.Plan {
+	return dbf.CompilePlan(s, 0)
+}
+
+// subset recompiles rows.
+func subset(p *dbf.Plan, s, idx []int) {
+	p.CompileSubset(s, idx, 0)
+}
+
+// memoProbe consults the fingerprint-keyed memo.
+func memoProbe(m *dbf.PointMemo, s []int) int64 {
 	return m.Value(s, 0, 8)
-}
-
-// forcePlanned compiles a plan with no way to turn it off.
-func forcePlanned(s []int) *hiWalker {
-	w := &hiWalker{}
-	w.ResetPlanned(s) // want `forcePlanned selects the columnar plan path \(ResetPlanned\) without reading Options.NoPlan`
-	return w
-}
-
-// uncheckedCompile calls the package-level compiler without the hatch.
-func uncheckedCompile(s []int) *dbf.Plan {
-	return dbf.CompilePlan(s, 0) // want `uncheckedCompile selects the columnar plan path \(CompilePlan\) without reading Options.NoPlan`
-}
-
-// uncheckedSubset recompiles rows without the hatch.
-func uncheckedSubset(p *dbf.Plan, s, idx []int) {
-	p.CompileSubset(s, idx, 0) // want `uncheckedSubset selects the columnar plan path \(CompileSubset\) without reading Options.NoPlan`
-}
-
-// uncheckedMemo consults the memo without the hatch.
-func uncheckedMemo(m *dbf.PointMemo, s []int) int64 {
-	return m.Value(s, 0, 8) // want `uncheckedMemo selects the columnar plan path \(Value\) without reading Options.NoPlan`
 }
 
 // handRolled builds a plan by literal, bypassing the compile entry
@@ -86,12 +47,8 @@ func handRolled() dbf.Plan {
 	return dbf.Plan{} // want `dbf.Plan composite literal`
 }
 
-// probeOnly is clean: BulkEval/ValueCapped on an already-decided plan
-// are consumption, not a decision — the caller made the NoPlan call.
+// probeOnly consumes an already-compiled plan.
 func probeOnly(p *dbf.Plan, dst, deltas []int64) []int64 {
-	if p == nil {
-		return dst
-	}
 	if _, ok := p.ValueCapped(3, 7); !ok {
 		return dst
 	}

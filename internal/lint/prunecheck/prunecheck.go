@@ -1,23 +1,13 @@
-// Package prunecheck enforces the contract of the pruned demand walks in
-// internal/core (see the "Event pruning" section of docs/PERF.md). The
-// bulk-skip machinery is only trustworthy while every walk keeps two
-// promises, and this analyzer makes new walk code keep them:
+// Package prunecheck enforces the event budget of the demand walks in
+// internal/core (see the "Event pruning" section of docs/PERF.md): every
+// function that starts a walk — calls Options.acquireWalker — must
+// consult the event budget (Options.MaxEvents or the maxEvents helper).
+// An uncapped pseudo-polynomial walk can run effectively forever on
+// adversarial parameters; the budget turns that into a reported, inexact
+// (or error) result.
 //
-//  1. Escape hatch: every function that prunes — calls hiWalker.SkipTo —
-//     must read Options.NoPrune. A skip site without the flag cannot be
-//     disabled, which breaks the differential property/fuzz tests
-//     (pruned vs unpruned) and leaves no way to benchmark or bisect the
-//     pruning itself.
-//  2. Bounded walks: every function that starts a walk — calls
-//     Options.acquireWalker — must consult the event budget
-//     (Options.MaxEvents or the maxEvents helper). An uncapped
-//     pseudo-polynomial walk can run effectively forever on adversarial
-//     parameters; the budget turns that into a reported, inexact (or
-//     error) result.
-//
-// Both rules apply only inside mcspeedup/internal/core — the walker does
-// not leave that package — and exempt test files and the hiWalker
-// methods themselves (SkipTo is the mechanism, not a policy site).
+// The rule applies only inside mcspeedup/internal/core — the walker does
+// not leave that package — and exempts test files.
 package prunecheck
 
 import (
@@ -32,7 +22,7 @@ const corePkgPath = "mcspeedup/internal/core"
 // Analyzer is the prunecheck analyzer.
 var Analyzer = &lint.Analyzer{
 	Name: "prunecheck",
-	Doc:  "require Options.NoPrune at every pruning site and an event budget on every demand walk",
+	Doc:  "require an event budget on every demand walk",
 	Run:  run,
 }
 
@@ -46,7 +36,7 @@ func run(pass *lint.Pass) error {
 		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || isWalkerMethod(fd) {
+			if !ok || fd.Body == nil {
 				continue
 			}
 			checkFunc(pass, fd)
@@ -55,26 +45,10 @@ func run(pass *lint.Pass) error {
 	return nil
 }
 
-// isWalkerMethod reports whether fd is declared on hiWalker (the walk
-// mechanism itself, exempt from the policy rules).
-func isWalkerMethod(fd *ast.FuncDecl) bool {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return false
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	id, ok := t.(*ast.Ident)
-	return ok && id.Name == "hiWalker"
-}
-
-// checkFunc applies both rules to one function body.
+// checkFunc applies the rule to one function body.
 func checkFunc(pass *lint.Pass, fd *ast.FuncDecl) {
 	var (
-		skipTo        ast.Node // first hiWalker.SkipTo call
 		acquire       ast.Node // first Options.acquireWalker call
-		readsNoPrune  bool
 		readsMaxEvent bool
 	)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -89,10 +63,6 @@ func checkFunc(pass *lint.Pass, fd *ast.FuncDecl) {
 		switch obj := obj.(type) {
 		case *types.Func:
 			switch obj.Name() {
-			case "SkipTo":
-				if skipTo == nil {
-					skipTo = sel
-				}
 			case "acquireWalker":
 				if acquire == nil {
 					acquire = sel
@@ -101,21 +71,12 @@ func checkFunc(pass *lint.Pass, fd *ast.FuncDecl) {
 				readsMaxEvent = true
 			}
 		case *types.Var:
-			if !obj.IsField() {
-				return true
-			}
-			switch obj.Name() {
-			case "NoPrune":
-				readsNoPrune = true
-			case "MaxEvents":
+			if obj.IsField() && obj.Name() == "MaxEvents" {
 				readsMaxEvent = true
 			}
 		}
 		return true
 	})
-	if skipTo != nil && !readsNoPrune {
-		pass.Reportf(skipTo.Pos(), "%s prunes the walk (SkipTo) without reading Options.NoPrune: every pruning site needs the escape hatch so the differential tests can compare pruned and unpruned walks", fd.Name.Name)
-	}
 	if acquire != nil && !readsMaxEvent {
 		pass.Reportf(acquire.Pos(), "%s starts a demand walk (acquireWalker) without consulting Options.MaxEvents (or maxEvents): unbudgeted pseudo-polynomial walks can run unbounded on adversarial parameters", fd.Name.Name)
 	}

@@ -1,14 +1,11 @@
 // Package core is a minimal stub of mcspeedup/internal/core for the
-// prunecheck testdata: the walker, the walk options, and one function
-// per rule in both its flagged and its clean form.
+// prunecheck testdata: the walker, the walk options, and the event-budget
+// rule in both its flagged and its clean forms.
 package core
-
-type timeT int64
 
 // Options mirrors the real walk options.
 type Options struct {
 	MaxEvents int
-	NoPrune   bool
 }
 
 func (o Options) maxEvents() int {
@@ -18,30 +15,20 @@ func (o Options) maxEvents() int {
 	return o.MaxEvents
 }
 
-// hiWalker mirrors the real event walker; its methods are exempt.
-type hiWalker struct{ pos timeT }
+// hiWalker mirrors the real event walker.
+type hiWalker struct{}
 
 func (o Options) acquireWalker() *hiWalker  { return &hiWalker{} }
 func (o Options) releaseWalker(w *hiWalker) {}
 
 func (w *hiWalker) Next() bool { return false }
 
-// SkipTo is the mechanism itself: calling Next inside it must not
-// trigger the policy rules.
-func (w *hiWalker) SkipTo(target timeT) {
-	w.pos = target
-}
-
-// disciplinedWalk honors both rules: the walk is budgeted and the skip
-// is behind the escape hatch.
+// disciplinedWalk budgets its walk through the maxEvents helper.
 func disciplinedWalk(o Options) int {
 	w := o.acquireWalker()
 	defer o.releaseWalker(w)
 	events := 0
 	for events < o.maxEvents() {
-		if !o.NoPrune {
-			w.SkipTo(w.pos + 10)
-		}
 		if !w.Next() {
 			break
 		}
@@ -60,14 +47,6 @@ func fieldBudget(o Options) {
 			break
 		}
 	}
-}
-
-// unguardedPrune skips events with no way to turn pruning off.
-func unguardedPrune(o Options) {
-	w := o.acquireWalker()
-	defer o.releaseWalker(w)
-	_ = o.maxEvents()
-	w.SkipTo(100) // want `without reading Options.NoPrune`
 }
 
 // unbudgetedWalk walks with no event cap at all.

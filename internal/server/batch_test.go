@@ -172,13 +172,10 @@ func TestBatchMetricsCounters(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesScalarAnalysis ties the serving tier to the plainest
-// possible evaluation: each batch item's result bytes must equal a cold
-// core.AnalyzeOpts run with the compiled demand plans AND the walk
-// pruning disabled. The served path runs planned and pruned (the
-// defaults), so this is the end-to-end plan-vs-legacy differential
-// through HTTP — any columnar-lowering or skip-certificate divergence
-// shows up as a byte mismatch here.
+// TestBatchMatchesScalarAnalysis ties the serving tier to the analysis
+// layer: each batch item's result bytes must equal a direct, single-set
+// core.Analyze run on the same set. The walks themselves are checked
+// against the test oracle inside internal/core.
 func TestBatchMatchesScalarAnalysis(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	items := []string{tableIJSON, degradedJSON}
@@ -192,16 +189,16 @@ func TestBatchMatchesScalarAnalysis(t *testing.T) {
 		if err != nil {
 			t.Fatalf("item %d: %v", i, err)
 		}
-		report, err := core.AnalyzeOpts(set, rat.Two, core.Options{NoPlan: true, NoPrune: true})
+		report, err := core.Analyze(set, rat.Two)
 		if err != nil {
-			t.Fatalf("item %d: scalar analyze: %v", i, err)
+			t.Fatalf("item %d: analyze: %v", i, err)
 		}
 		want, err := report.MarshalIndent()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(item.Result, bytes.TrimRight(want, "\n")) {
-			t.Errorf("item %d served bytes != scalar unpruned analysis:\n%s\n---\n%s",
+			t.Errorf("item %d served bytes != core.Analyze:\n%s\n---\n%s",
 				i, item.Result, want)
 		}
 	}

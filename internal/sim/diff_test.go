@@ -166,7 +166,7 @@ func TestRunRejectsLikeReference(t *testing.T) {
 
 // FuzzSimEquivalence drives randomized sets, workloads, and policies
 // through both engines; scripts/verify.sh runs a 10s smoke on top of the
-// seed corpus (mirroring FuzzWalkEquivalence).
+// seed corpus (mirroring internal/core's FuzzWalkEquivalence).
 func FuzzSimEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(10), uint8(30), uint8(0), false, false, uint8(3))
 	f.Add(int64(42), uint8(55), uint8(15), uint8(40), true, false, uint8(0))

@@ -23,8 +23,8 @@ go build ./...
 go vet ./...
 
 # mcs-vet: the custom analyzer suite (ratcheck, determcheck,
-# scratchcheck, metricscheck, prunecheck, deltacheck, borrowcheck,
-# ctxcheck, lockcheck) — fact-based and interprocedural; see
+# scratchcheck, metricscheck, prunecheck, plancheck, deltacheck,
+# borrowcheck, ctxcheck, lockcheck) — fact-based and interprocedural; see
 # docs/STATIC_ANALYSIS.md. It runs twice: under the cmd/go vettool
 # protocol, and in module mode against a fresh fact cache, which the
 # -ignores audit then replays to fail on stale or unjustified
@@ -45,19 +45,16 @@ go test -race ./...
 go test -run Alloc ./internal/core/...
 go test -run Alloc ./internal/sim/
 
-# Fuzz smoke: the pruned and unpruned demand walks must stay equivalent
-# under a short randomized run (the checked-in seed corpus alone already
-# ran as part of the suite above).
+# Oracle fuzz smoke: the production demand walks (columnar plans, pruned,
+# warm-started) must stay equivalent to the plain test-oracle walks under
+# a short randomized run (the checked-in seed corpora of FuzzWalkEquivalence
+# and FuzzPlanEquivalence already ran as part of the suite above; the two
+# share one body, and FuzzWalkEquivalence also fuzzes the reset budget).
 go test -fuzz FuzzWalkEquivalence -fuzztime 10s -run '^$' ./internal/core/
 
 # Delta fuzz smoke: random edit streams through a Session must reproduce
 # the cold analysis byte for byte (the incremental-analysis contract).
 go test -fuzz FuzzDeltaEquivalence -fuzztime 10s -run '^$' ./internal/core/
-
-# Plan fuzz smoke: the compiled columnar demand plans must stay
-# byte-identical to the scalar per-task walks (Options.NoPlan) on random
-# task sets, pruned and unpruned.
-go test -fuzz FuzzPlanEquivalence -fuzztime 10s -run '^$' ./internal/core/
 
 # Simulator fuzz smoke: the zero-allocation RunInto hot path must stay
 # byte-identical to the frozen reference simulator on random task sets,
