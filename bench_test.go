@@ -106,17 +106,23 @@ func BenchmarkMinSpeedForReset(b *testing.B) {
 	}
 }
 
-func BenchmarkMinimalY(b *testing.B) {
+// designSearchSet is the synthetic set of the MinimalY and
+// TuneDeadlines rows, the same one cmd/mcs-bench measures under those
+// names: a generator set at seed 77 and u = 0.7, redrawn until the LO
+// mode is feasible for some x, minimally prepared.
+func designSearchSet() mcspeedup.Set {
 	g := mcspeedup.DefaultGenerator()
 	rnd := rand.New(rand.NewSource(77))
-	var prepared mcspeedup.Set
-	for { // redraw until the LO mode is feasible for some x
+	for {
 		set := g.MustSet(rnd, 0.7)
-		if _, p, err := mcspeedup.MinimalX(set); err == nil {
-			prepared = p
-			break
+		if _, prepared, err := mcspeedup.MinimalX(set); err == nil {
+			return prepared
 		}
 	}
+}
+
+func BenchmarkMinimalY(b *testing.B) {
+	prepared := designSearchSet()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -127,7 +133,7 @@ func BenchmarkMinimalY(b *testing.B) {
 }
 
 func BenchmarkTuneDeadlines(b *testing.B) {
-	set := benchSet(b, 0.7)
+	set := designSearchSet()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

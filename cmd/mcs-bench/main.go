@@ -28,7 +28,7 @@
 // walkthrough.
 //
 // -trajectory appends one dated entry — git revision, per-benchmark
-// numbers, and the pruned-vs-unpruned event counters of the FMS walks —
+// numbers, and the examined-event and jump counters of the FMS walks —
 // to a JSON-array history file, so performance can be compared across
 // commits (CI uploads the file as a build artifact). The event counters
 // are machine-independent: they count examined demand events, the

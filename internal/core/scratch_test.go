@@ -210,7 +210,7 @@ func benchTuneSet() task.Set {
 
 func benchName(i int) string { return string(rune('a' + i)) }
 
-func BenchmarkMinimalY(b *testing.B) {
+func BenchmarkMinimalYTuneSetCap5over4(b *testing.B) {
 	s := benchTuneSet()
 	cap := rat.New(5, 4)
 	b.ReportAllocs()
@@ -222,7 +222,7 @@ func BenchmarkMinimalY(b *testing.B) {
 	}
 }
 
-func BenchmarkTuneDeadlines(b *testing.B) {
+func BenchmarkTuneDeadlinesTuneSetStep1over8(b *testing.B) {
 	s := benchTuneSet()
 	b.ReportAllocs()
 	b.ResetTimer()

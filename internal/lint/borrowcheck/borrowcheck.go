@@ -89,7 +89,7 @@ func arenaOwner(t types.Type) (string, bool) {
 	if obj.Pkg() == nil {
 		return "", false
 	}
-	pkg := lint.CanonicalPath(obj.Pkg().Path())
+	pkg := obj.Pkg().Path()
 	if name, ok := owners[pkg]; ok && obj.Name() == name {
 		return pkg, true
 	}
@@ -137,7 +137,7 @@ type funcInfo struct {
 }
 
 func run(pass *lint.Pass) error {
-	self := lint.CanonicalPath(pass.Pkg.Path())
+	self := pass.Pkg.Path()
 
 	var infos []*funcInfo
 	byFunc := make(map[*types.Func]*funcInfo)
@@ -226,7 +226,7 @@ func run(pass *lint.Pass) error {
 			}
 			calleePkg := ""
 			if c.callee.Pkg() != nil {
-				calleePkg = lint.CanonicalPath(c.callee.Pkg().Path())
+				calleePkg = c.callee.Pkg().Path()
 			}
 			pass.Reportf(c.pos, "%s %s escapes into %s.%s, which retains its parameter %d beyond the call (Borrows fact): the arena outlives this borrow; pass a value the callee may keep, or fix the callee",
 				arenaLabel(c.owner), c.argText, calleePkg, c.callee.Name(), c.calleeIdx)
@@ -297,7 +297,7 @@ func walkFunc(pass *lint.Pass, fd *ast.FuncDecl, fn *types.Func) *funcInfo {
 					if sel, ok := pass.TypesInfo.Selections[lhs]; ok {
 						fieldPkg := ""
 						if sel.Obj().Pkg() != nil {
-							fieldPkg = lint.CanonicalPath(sel.Obj().Pkg().Path())
+							fieldPkg = sel.Obj().Pkg().Path()
 						}
 						if fieldPkg == owner {
 							continue // the owner's sanctioned field (core.Options.Scratch)
@@ -383,7 +383,7 @@ func checkCompositeLit(pass *lint.Pass, fi *funcInfo, paramOf func(ast.Expr) int
 	litType := pass.TypesInfo.TypeOf(lit)
 	litPkg := ""
 	if named, ok := deref(litType).(*types.Named); ok && named.Obj().Pkg() != nil {
-		litPkg = lint.CanonicalPath(named.Obj().Pkg().Path())
+		litPkg = named.Obj().Pkg().Path()
 	}
 	for _, elt := range lit.Elts {
 		val := elt
@@ -456,7 +456,7 @@ func isParFanOut(pass *lint.Pass, call *ast.CallExpr) bool {
 		return false
 	}
 	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || lint.CanonicalPath(fn.Pkg().Path()) != parPkgPath {
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != parPkgPath {
 		return false
 	}
 	return fn.Name() == "ForEach" || fn.Name() == "Map"

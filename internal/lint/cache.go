@@ -5,19 +5,20 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 )
 
-// The on-disk fact cache of module mode (and, via MCSVET_CACHE, of the
-// vettool protocol). One entry per package, keyed by a content hash
-// over the tool identity, the package's source bytes, and — recursively
-// — the hashes of its in-module dependencies, so any edit invalidates
-// exactly the packages downstream of it. A warm run with a full hit
-// set replays facts, diagnostics and ignore audits from disk without
-// parsing or type-checking a single file, which is what makes the
-// VetWallTime warm column in cmd/mcs-bench collapse.
+// The on-disk fact cache of the module runner (mcs-vet -cache/-nocache).
+// One entry per package, keyed by a content hash over the tool
+// identity, the package's source bytes, and — recursively — the hashes
+// of its in-module dependencies, so any edit invalidates exactly the
+// packages downstream of it. A warm run with a full hit set replays
+// facts, diagnostics and ignore audits from disk without parsing or
+// type-checking a single file, which is what makes the VetWallTime warm
+// column in cmd/mcs-bench collapse.
 
 // cacheSchema versions the entry layout; bumping it orphans (never
 // corrupts) old entries, since it participates in the key.
@@ -35,7 +36,7 @@ type cacheEntry struct {
 }
 
 // DefaultCacheDir returns the fact-cache directory used when the
-// driver is not given an explicit one: <user cache dir>/mcs-vet.
+// runner is not given an explicit one: <user cache dir>/mcs-vet.
 func DefaultCacheDir() (string, error) {
 	base, err := os.UserCacheDir()
 	if err != nil {
@@ -90,8 +91,7 @@ func writeCacheEntry(dir, key string, e *cacheEntry) error {
 // from the source itself: the executable, the cache schema, and the
 // analyzer suite with its fact vocabulary. It is mixed into every
 // cache key, so swapping analyzers or rebuilding the tool invalidates
-// the cache wholesale — the same contract cmd/go's -V=full handshake
-// provides for its vet result cache.
+// the cache wholesale.
 func toolID(analyzers []*Analyzer) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "mcs-vet schema %d exe %s\n", cacheSchema, executableHash())
@@ -108,6 +108,22 @@ func toolID(analyzers []*Analyzer) string {
 		fmt.Fprintln(h, n)
 	}
 	return fmt.Sprintf("%x", h.Sum(nil)[:16])
+}
+
+// executableHash hashes the running binary, so a rebuilt tool (with
+// changed analyzer logic) never replays its predecessor's entries.
+func executableHash() string {
+	exe, err := os.Executable()
+	if err == nil {
+		if f, err := os.Open(exe); err == nil {
+			defer f.Close()
+			h := sha256.New()
+			if _, err := io.Copy(h, f); err == nil {
+				return fmt.Sprintf("%x", h.Sum(nil)[:16])
+			}
+		}
+	}
+	return "unknown"
 }
 
 // contentHash builds a package content hash from length-prefixed

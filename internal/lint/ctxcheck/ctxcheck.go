@@ -91,7 +91,7 @@ type funcInfo struct {
 }
 
 func run(pass *lint.Pass) error {
-	self := lint.CanonicalPath(pass.Pkg.Path())
+	self := pass.Pkg.Path()
 	scoped := scopedPkgs[self]
 
 	var infos []*funcInfo
@@ -164,7 +164,7 @@ func run(pass *lint.Pass) error {
 			}
 			calleePkg := ""
 			if c.callee.Pkg() != nil {
-				calleePkg = lint.CanonicalPath(c.callee.Pkg().Path())
+				calleePkg = c.callee.Pkg().Path()
 			}
 			pass.Reportf(c.pos, "%s calls %s.%s, whose outbound calls are detached from the inbound context (%s): thread the request context through (Detached fact)",
 				fi.name, calleePkg, c.callee.Name(), strings.Join(calls, ", "))
@@ -250,7 +250,7 @@ func walkFunc(pass *lint.Pass, fd *ast.FuncDecl, fn *types.Func) *funcInfo {
 			}
 			pkg := ""
 			if callee.Pkg() != nil {
-				pkg = lint.CanonicalPath(callee.Pkg().Path())
+				pkg = callee.Pkg().Path()
 			}
 			name := callee.Name()
 			// The context and net/http cases match package-level

@@ -45,7 +45,7 @@ var Analyzer = &lint.Analyzer{
 }
 
 func run(pass *lint.Pass) error {
-	switch lint.CanonicalPath(pass.Pkg.Path()) {
+	switch pass.Pkg.Path() {
 	case serverPkgPath:
 		runServer(pass)
 	case dbfPkgPath:

@@ -50,7 +50,7 @@ var Analyzer = &lint.Analyzer{
 }
 
 func run(pass *lint.Pass) error {
-	if !lint.InByteIdenticalScope(lint.CanonicalPath(pass.Pkg.Path())) && !usesParFanOut(pass) {
+	if !lint.InByteIdenticalScope(pass.Pkg.Path()) && !usesParFanOut(pass) {
 		return nil
 	}
 	for _, f := range pass.Files {

@@ -8,9 +8,9 @@ import (
 	"strings"
 )
 
-// Emitters for module mode. Every format renders the same globally
-// sorted diagnostic slice, so all of them inherit the byte-identical
-// -workers guarantee.
+// Emitters for the module runner's result. Every format renders the
+// same globally sorted diagnostic slice, so all of them inherit the
+// byte-identical -workers guarantee.
 
 // jsonPosition is the portable position encoding of the machine
 // formats.

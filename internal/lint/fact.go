@@ -31,13 +31,13 @@ type Fact interface {
 // An ObjectFact pairs a decoded fact with the object it is attached to,
 // identified portably as (package path, object path).
 type ObjectFact struct {
-	Pkg  string // canonical package path of the defining package
+	Pkg  string // import path of the defining package
 	Obj  string // object path within the package (see objPath)
 	Fact Fact
 }
 
 // wireFact is the serialized form of one exported fact — the element
-// type of a vetx file and of the on-disk fact cache.
+// type of the on-disk fact cache and of the golden fact files.
 type wireFact struct {
 	Pkg      string          `json:"pkg"`
 	Obj      string          `json:"obj"`
@@ -117,38 +117,22 @@ func (s *FactStore) get(key factKey) (json.RawMessage, bool) {
 	return data, ok
 }
 
-// AddWire loads serialized facts (a vetx file, a cache entry) into the
-// store.
-func (s *FactStore) AddWire(facts []wireFact) {
+// addWire loads serialized facts (a cache entry) into the store.
+func (s *FactStore) addWire(facts []wireFact) {
 	for _, f := range facts {
 		s.add(factKey{f.Pkg, f.Obj, f.Analyzer, f.Type}, f.Data)
 	}
 }
 
-// DecodeWire parses the JSON encoding produced by EncodeWire (or an
-// empty/absent file, which decodes to no facts).
-func DecodeWire(data []byte) ([]wireFact, error) {
-	if len(data) == 0 {
-		return nil, nil
-	}
-	var facts []wireFact
-	if err := json.Unmarshal(data, &facts); err != nil {
-		return nil, fmt.Errorf("lint: decoding facts: %w", err)
-	}
-	return facts, nil
-}
-
-// Wire returns every fact in the store in a deterministic order, for
-// serialization into a vetx file. When filter is non-nil only facts of
-// the listed packages are included.
-func (s *FactStore) Wire(filter map[string]bool) []wireFact {
+// wire returns the facts of one package in a deterministic order, for
+// serialization into a cache entry or a golden file.
+func (s *FactStore) wire(pkgPath string) []wireFact {
 	s.mu.RLock()
-	facts := make([]wireFact, 0, len(s.m))
+	var facts []wireFact
 	for key, data := range s.m { //lint:ignore determcheck iteration feeds a full sort below; the returned order is independent of it
-		if filter != nil && !filter[key.pkg] {
-			continue
+		if key.pkg == pkgPath {
+			facts = append(facts, wireFact{key.pkg, key.obj, key.analyzer, key.typ, data})
 		}
-		facts = append(facts, wireFact{key.pkg, key.obj, key.analyzer, key.typ, data})
 	}
 	s.mu.RUnlock()
 	sortWire(facts)
@@ -171,26 +155,10 @@ func sortWire(facts []wireFact) {
 	})
 }
 
-// EncodeWire serializes facts for a vetx file: a sorted JSON array, or
-// no bytes at all when there are no facts (cmd/go treats an empty vetx
-// file as valid, and most packages export nothing).
-func EncodeWire(facts []wireFact) []byte {
-	if len(facts) == 0 {
-		return nil
-	}
-	data, err := json.Marshal(facts)
-	if err != nil {
-		// Fact types are plain structs; a marshal failure is a
-		// programming error in the exporting analyzer.
-		panic(fmt.Sprintf("lint: encoding facts: %v", err))
-	}
-	return data
-}
-
 // FactsJSON returns the indented wire encoding of one package's facts —
 // the golden-file form the analyzer test suites pin.
 func FactsJSON(s *FactStore, pkgPath string) []byte {
-	facts := s.Wire(map[string]bool{pkgPath: true})
+	facts := s.wire(pkgPath)
 	if len(facts) == 0 {
 		return []byte("[]\n")
 	}
@@ -220,9 +188,8 @@ func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 	if err != nil {
 		panic(fmt.Sprintf("lint: analyzer %s: marshaling %T: %v", p.Analyzer.Name, fact, err))
 	}
-	key := factKey{CanonicalPath(obj.Pkg().Path()), path, p.Analyzer.Name, factTypeName(fact)}
+	key := factKey{obj.Pkg().Path(), path, p.Analyzer.Name, factTypeName(fact)}
 	p.store.add(key, data)
-	p.exported = append(p.exported, wireFact{key.pkg, key.obj, key.analyzer, key.typ, data})
 }
 
 // ImportObjectFact decodes into fact the fact of fact's type previously
@@ -236,7 +203,7 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	if path == "" {
 		return false
 	}
-	pkg := CanonicalPath(obj.Pkg().Path())
+	pkg := obj.Pkg().Path()
 	if !p.visible(pkg) {
 		return false
 	}
@@ -292,10 +259,10 @@ func (p *Pass) AllObjectFacts(template Fact) []ObjectFact {
 
 // visible reports whether facts of pkg may be consulted by this pass.
 // A nil visibility set means everything in the store is in the
-// dependency closure (the unitchecker case, where cmd/go supplies
-// exactly the dependencies' vetx files).
+// dependency closure (the testdata loader's case, whose store holds
+// exactly the target's dependencies).
 func (p *Pass) visible(pkg string) bool {
-	return p.visiblePkgs == nil || p.visiblePkgs[pkg] || pkg == CanonicalPath(p.Pkg.Path())
+	return p.visiblePkgs == nil || p.visiblePkgs[pkg] || pkg == p.Pkg.Path()
 }
 
 // declaresFactType reports whether the running analyzer declared fact's

@@ -11,9 +11,9 @@
 // package-level objects, and dependent packages import those facts
 // during their own pass, so an arena laundered through a helper in
 // another package, or a context.Background() two calls below a peer
-// forward, is still visible. Analyzers run dependency-ordered and — in
-// module mode (modrunner.go) — in parallel over internal/par, with the
-// final diagnostic order byte-identical for any worker count.
+// forward, is still visible. The module runner (modrunner.go) analyzes
+// packages in dependency order and in parallel over internal/par, with
+// the final diagnostic order byte-identical for any worker count.
 //
 // A diagnostic on a given line is suppressed by a directive comment
 //
@@ -40,11 +40,6 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
-	// Requires lists analyzers that must run before this one on each
-	// package (their facts and any shared conventions are then in
-	// place). The drivers add the closure automatically and order each
-	// package's passes topologically.
-	Requires []*Analyzer
 	// FactTypes declares the fact types this analyzer may export and
 	// import — one zero value per type, each a pointer to a struct.
 	// Analyzers with facts are run on dependency packages too (to
@@ -65,7 +60,6 @@ type Pass struct {
 
 	store       *FactStore
 	visiblePkgs map[string]bool // fact visibility; nil = whole store
-	exported    []wireFact      // facts this pass exported (for caching)
 	diagnostics []Diagnostic
 }
 
@@ -94,16 +88,6 @@ func (p *Pass) IsTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }
 
-// CanonicalPath strips the test-variant suffix from an import path: when
-// cmd/go vets a test build it names the package "p [p.test]", but the
-// analyzers scope themselves by the underlying package p.
-func CanonicalPath(path string) string {
-	if i := strings.Index(path, " ["); i >= 0 {
-		return path[:i]
-	}
-	return path
-}
-
 // ByteIdenticalScope is the single declared list of packages carrying
 // the byte-identical "-workers N" reproduction guarantee (PR 1): their
 // rendered output must be a pure function of inputs, independent of
@@ -123,8 +107,8 @@ var ByteIdenticalScope = []string{
 	"mcspeedup/cmd/mcs-experiments",
 }
 
-// InByteIdenticalScope reports whether the canonical package path is on
-// the declared determinism-critical list.
+// InByteIdenticalScope reports whether the package path is on the
+// declared determinism-critical list.
 func InByteIdenticalScope(path string) bool {
 	for _, p := range ByteIdenticalScope {
 		if p == path {
@@ -167,30 +151,16 @@ type IgnoreInfo struct {
 	Malformed     bool           `json:"malformed"`
 }
 
-// Run applies the analyzers to pkg, filters findings through the
-// //lint:ignore directives found in the package's comments, and returns
-// the surviving diagnostics sorted by position. Facts are confined to a
-// throwaway store; drivers that thread facts between packages use
-// RunPass.
-func Run(pkg *Package, analyzers ...*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := RunPass(pkg, NewFactStore(), nil, false, analyzers...)
-	return diags, err
-}
-
-// RunPass applies the analyzers (expanded to their Requires closure and
-// topologically ordered) to pkg against the facts in store, exporting
-// new facts into it. visible restricts fact imports to the given
-// canonical package paths (nil = the whole store). When factsOnly is
-// set, diagnostics are discarded — the dependency-package mode in which
-// only fact production matters. It returns the surviving diagnostics
-// sorted by position and the audit state of every ignore directive.
+// RunPass applies the analyzers, in the order given, to pkg against the
+// facts in store, exporting new facts into it. visible restricts fact
+// imports to the given package paths (nil = the whole store). When
+// factsOnly is set, diagnostics are discarded — the dependency-package
+// mode in which only fact production matters. It returns the surviving
+// diagnostics sorted by position and the audit state of every ignore
+// directive.
 func RunPass(pkg *Package, store *FactStore, visible map[string]bool, factsOnly bool, analyzers ...*Analyzer) ([]Diagnostic, []IgnoreInfo, error) {
-	ordered, err := SortAnalyzers(analyzers)
-	if err != nil {
-		return nil, nil, err
-	}
 	var diags []Diagnostic
-	for _, a := range ordered {
+	for _, a := range analyzers {
 		if factsOnly && len(a.FactTypes) == 0 {
 			continue
 		}
@@ -216,47 +186,8 @@ func RunPass(pkg *Package, store *FactStore, visible map[string]bool, factsOnly 
 	return diags, ignores, nil
 }
 
-// SortAnalyzers expands the Requires closure of the given analyzers and
-// returns them in a deterministic topological order (dependencies
-// first, ties broken by name). A Requires cycle is an error.
-func SortAnalyzers(analyzers []*Analyzer) ([]*Analyzer, error) {
-	const (
-		unvisited = 0
-		visiting  = 1
-		done      = 2
-	)
-	state := make(map[*Analyzer]int)
-	var ordered []*Analyzer
-	var visit func(a *Analyzer) error
-	visit = func(a *Analyzer) error {
-		switch state[a] {
-		case done:
-			return nil
-		case visiting:
-			return fmt.Errorf("lint: analyzer dependency cycle through %s", a.Name)
-		}
-		state[a] = visiting
-		reqs := append([]*Analyzer(nil), a.Requires...)
-		sort.Slice(reqs, func(i, j int) bool { return reqs[i].Name < reqs[j].Name })
-		for _, r := range reqs {
-			if err := visit(r); err != nil {
-				return err
-			}
-		}
-		state[a] = done
-		ordered = append(ordered, a)
-		return nil
-	}
-	for _, a := range analyzers {
-		if err := visit(a); err != nil {
-			return nil, err
-		}
-	}
-	return ordered, nil
-}
-
 // SortDiagnostics orders diags by position, then analyzer — the
-// deterministic order every driver emits regardless of worker count.
+// deterministic order every emitter renders regardless of worker count.
 func SortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

@@ -32,7 +32,7 @@ type expectation struct {
 // the analyzer's diagnostics against the package's want comments. The
 // analyzer's fact-producing passes run over every in-tree dependency
 // first (lint.LoadDirFacts), so cross-package fact import is exercised
-// exactly as under the real drivers.
+// exactly as under the module runner.
 func Run(t *testing.T, root, path string, a *lint.Analyzer) {
 	t.Helper()
 	pkg, store, err := lint.LoadDirFacts(root, path, true, []*lint.Analyzer{a})

@@ -196,7 +196,7 @@ func run(pass *lint.Pass) error {
 			}
 			calleePkg := ""
 			if c.callee.Pkg() != nil {
-				calleePkg = lint.CanonicalPath(c.callee.Pkg().Path())
+				calleePkg = c.callee.Pkg().Path()
 			}
 			pass.Reportf(c.pos, "%s calls %s.%s, which can block on admission or peer I/O (%s), while holding a mutex (Blocks fact): release the lock before the call",
 				fi.name, calleePkg, c.callee.Name(), strings.Join(blocks, ", "))
@@ -210,7 +210,7 @@ func run(pass *lint.Pass) error {
 	// the graph — within one package there is no dependency order to
 	// decide which side of a cycle "completes" it, and including them
 	// would flag the canonical-order function alongside the violator.
-	self := lint.CanonicalPath(pass.Pkg.Path())
+	self := pass.Pkg.Path()
 	graph := make(map[string][]string)
 	addArc := func(from, to string) {
 		for _, t := range graph[from] {
@@ -426,7 +426,7 @@ func (fi *funcInfo) call(pass *lint.Pass, sc *scope, n *ast.CallExpr) {
 	}
 	pkg := ""
 	if callee.Pkg() != nil {
-		pkg = lint.CanonicalPath(callee.Pkg().Path())
+		pkg = callee.Pkg().Path()
 	}
 	if desc := blockingDesc(callee, pkg); desc != "" {
 		fi.blocks[desc] = true
@@ -473,7 +473,7 @@ func lockKeyOf(pass *lint.Pass, call *ast.CallExpr) string {
 	switch x := sel.X.(type) {
 	case *ast.Ident:
 		if v, ok := pass.TypesInfo.Uses[x].(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-			return lint.CanonicalPath(v.Pkg().Path()) + "." + v.Name()
+			return v.Pkg().Path() + "." + v.Name()
 		}
 	case *ast.SelectorExpr:
 		v, ok := pass.TypesInfo.Uses[x.Sel].(*types.Var)
@@ -481,7 +481,7 @@ func lockKeyOf(pass *lint.Pass, call *ast.CallExpr) string {
 			return ""
 		}
 		if v.Parent() == v.Pkg().Scope() {
-			return lint.CanonicalPath(v.Pkg().Path()) + "." + v.Name()
+			return v.Pkg().Path() + "." + v.Name()
 		}
 		if v.IsField() {
 			selInfo, ok := pass.TypesInfo.Selections[x]
@@ -497,7 +497,7 @@ func lockKeyOf(pass *lint.Pass, call *ast.CallExpr) string {
 				t = p.Elem()
 			}
 			if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil {
-				return lint.CanonicalPath(named.Obj().Pkg().Path()) + "." + named.Obj().Name() + "." + v.Name()
+				return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + v.Name()
 			}
 		}
 	}

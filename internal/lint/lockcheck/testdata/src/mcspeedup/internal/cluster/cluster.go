@@ -1,6 +1,7 @@
 // Package cluster is a minimal stub of mcspeedup/internal/cluster for
 // the lockcheck testdata: the blocking-under-mutex cases (migrated
-// from clustercheck's rule 2) in flagged and clean form.
+// from clustercheck's rule 2 and metricscheck's lock rule) in flagged
+// and clean form.
 package cluster
 
 import (
@@ -42,6 +43,22 @@ func (n *Node) admitUnderLock(ctx context.Context, owner string) error {
 	}
 	n.forwards[owner]++
 	return nil
+}
+
+// lockedAdmit holds the lock across admission to the end of the
+// function (metricscheck's former local rule, flagged case).
+func (n *Node) lockedAdmit(ctx context.Context) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.pool.Acquire(ctx) // want `lockedAdmit calls mcspeedup/internal/par.Acquire while holding a mutex`
+}
+
+// admitUnlocked releases the lock before admitting: clean
+// (metricscheck's former local rule, clean case).
+func (n *Node) admitUnlocked(ctx context.Context) error {
+	n.mu.Lock()
+	n.mu.Unlock()
+	return n.pool.Acquire(ctx)
 }
 
 // forwardUnderDeferredLock holds the mutex (deferred unlock) across

@@ -16,14 +16,13 @@ import (
 	"mcspeedup/internal/par"
 )
 
-// Module mode: `mcs-vet` invoked without a vet.cfg argument discovers
-// every package of the enclosing module itself, orders them by
-// dependency, and analyzes independent packages in parallel over
-// internal/par — with facts flowing from each package to its
-// dependents, diagnostics emitted in an order that is byte-identical
-// for every -workers count, and results replayed from the on-disk
-// fact cache (cache.go) when a package and its dependency closure are
-// unchanged.
+// The module runner behind `mcs-vet`: it discovers every package of
+// the module itself, orders them by dependency, and analyzes
+// independent packages in parallel over internal/par — with facts
+// flowing from each package to its dependents, diagnostics emitted in
+// an order that is byte-identical for every -workers count, and
+// results replayed from the on-disk fact cache (cache.go) when a
+// package and its dependency closure are unchanged.
 //
 // Each package contributes up to three units:
 //
@@ -38,7 +37,7 @@ import (
 //     separately under the import path <pkg>_test, consuming facts but
 //     exporting none (nothing can import an external test package).
 //
-// Analyzers running under this driver must only export facts on
+// Analyzers running under this runner must only export facts on
 // objects of the package under analysis; the cache stores exactly
 // those, keyed by a content hash over the package and its in-module
 // dependency closure.
@@ -124,7 +123,7 @@ func RunModule(root string, analyzers []*Analyzer, opts ModuleOptions) (*ModuleR
 		if !opts.NoCache {
 			if e, ok := readCacheEntry(cacheDir, p.cacheKey); ok {
 				res.CacheHits++
-				store.AddWire(e.Facts)
+				store.addWire(e.Facts)
 				res.Diagnostics = append(res.Diagnostics, e.Diagnostics...)
 				res.Ignores = append(res.Ignores, e.Ignores...)
 				continue
@@ -150,7 +149,7 @@ func RunModule(root string, analyzers []*Analyzer, opts ModuleOptions) (*ModuleR
 					entry := &cacheEntry{
 						Schema:      cacheSchema,
 						Package:     p.path,
-						Facts:       store.Wire(map[string]bool{p.path: true}),
+						Facts:       store.wire(p.path),
 						Diagnostics: diags,
 						Ignores:     ignores,
 					}
@@ -185,7 +184,7 @@ func RunModule(root string, analyzers []*Analyzer, opts ModuleOptions) (*ModuleR
 func readGoMod(root string) (modPath, goVersion string, err error) {
 	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
-		return "", "", fmt.Errorf("lint: module mode needs a go.mod at the root: %w", err)
+		return "", "", fmt.Errorf("lint: reading the module's go.mod: %w", err)
 	}
 	for _, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
@@ -203,8 +202,9 @@ func readGoMod(root string) (modPath, goVersion string, err error) {
 }
 
 // discoverPackages walks the module tree, collecting every directory
-// holding Go files. testdata trees, vendored code and hidden or
-// underscore-prefixed entries are skipped, mirroring cmd/go.
+// holding Go files. Nested modules (directories with their own go.mod),
+// testdata trees, vendored code and hidden or underscore-prefixed
+// entries are skipped, mirroring cmd/go's ./... pattern.
 func discoverPackages(root, modPath string) (map[string]*modPkg, error) {
 	pkgs := make(map[string]*modPkg)
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -213,9 +213,15 @@ func discoverPackages(root, modPath string) (map[string]*modPkg, error) {
 		}
 		if d.IsDir() {
 			name := d.Name()
-			if path != root && (name == "testdata" || name == "vendor" ||
-				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			if path == root {
+				return nil
+			}
+			if name == "testdata" || name == "vendor" ||
+				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir // a nested module
 			}
 			return nil
 		}
@@ -249,7 +255,12 @@ func discoverPackages(root, modPath string) (map[string]*modPkg, error) {
 	}
 	// Sorted order so the first classification error (a malformed
 	// file) is the same one every run.
-	for _, path := range sortedKeys(boolKeys(pkgs)) {
+	paths := make([]string, 0, len(pkgs))
+	for path := range pkgs {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
 		if err := classifyFiles(pkgs[path], modPath); err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package lint_test
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -15,7 +16,9 @@ import (
 // mechanism the module runner must carry: a direct borrowcheck escape
 // (keep), a cross-package escape visible only through an imported
 // Borrows fact (use), a malformed ignore (ignores), and one ignore
-// directive per audit state.
+// directive per audit state. Its nested module (nested/, with its own
+// go.mod) holds one more escape that must not be reported: the runner
+// skips nested modules as `go vet ./...` does.
 const fixtureModule = "testdata/module"
 
 func runFixture(t *testing.T, opts lint.ModuleOptions) *lint.ModuleResult {
@@ -29,25 +32,30 @@ func runFixture(t *testing.T, opts lint.ModuleOptions) *lint.ModuleResult {
 
 func TestRunModuleFixtureDiagnostics(t *testing.T) {
 	res := runFixture(t, lint.ModuleOptions{NoCache: true})
-	want := []struct{ file, analyzer, substr string }{
-		{"internal/ignores/ignores.go", "lint", "malformed //lint:ignore"},
-		{"internal/ignores/ignores.go", "borrowcheck", "stored in a package-level variable"},
-		{"internal/keep/keep.go", "borrowcheck", "stored in a package-level variable"},
-		{"internal/use/use.go", "borrowcheck", "escapes into mcspeedup/internal/keep.Hold, which retains its parameter 0"},
+	want := []struct{ pos, analyzer, substr string }{
+		{"internal/ignores/ignores.go:27:2", "lint", "malformed //lint:ignore"},
+		{"internal/ignores/ignores.go:28:11", "borrowcheck", "core.Scratch stored in a package-level variable"},
+		{"internal/keep/keep.go:13:11", "borrowcheck", "core.Scratch stored in a package-level variable"},
+		{"internal/use/use.go:15:12", "borrowcheck", "core.Scratch s escapes into mcspeedup/internal/keep.Hold, which retains its parameter 0 beyond the call (Borrows fact)"},
 	}
 	if len(res.Diagnostics) != len(want) {
 		t.Fatalf("got %d diagnostics, want %d:\n%v", len(res.Diagnostics), len(want), res.Diagnostics)
 	}
 	for i, w := range want {
 		d := res.Diagnostics[i]
-		if filepath.ToSlash(d.Pos.Filename) != w.file {
-			t.Errorf("diag %d: file %q, want %q", i, d.Pos.Filename, w.file)
+		if pos := fmt.Sprintf("%s:%d:%d", filepath.ToSlash(d.Pos.Filename), d.Pos.Line, d.Pos.Column); pos != w.pos {
+			t.Errorf("diag %d: position %s, want %s", i, pos, w.pos)
 		}
 		if d.Analyzer != w.analyzer {
 			t.Errorf("diag %d: analyzer %q, want %q", i, d.Analyzer, w.analyzer)
 		}
 		if !strings.Contains(d.Message, w.substr) {
 			t.Errorf("diag %d: message %q does not contain %q", i, d.Message, w.substr)
+		}
+	}
+	for _, p := range res.Packages {
+		if strings.HasPrefix(p, "mcspeedup/nested") {
+			t.Errorf("analyzed %s, a package of the nested module", p)
 		}
 	}
 }

@@ -42,7 +42,7 @@ var Analyzer = &lint.Analyzer{
 }
 
 func run(pass *lint.Pass) error {
-	pkgPath := lint.CanonicalPath(pass.Pkg.Path())
+	pkgPath := pass.Pkg.Path()
 	if pkgPath == dbfPkgPath {
 		return nil
 	}
@@ -84,7 +84,7 @@ func checkConfinement(pass *lint.Pass, f *ast.File) {
 			return true
 		}
 		fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-		if !ok || fn.Pkg() == nil || lint.CanonicalPath(fn.Pkg().Path()) != dbfPkgPath {
+		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != dbfPkgPath {
 			return true
 		}
 		recv := recvTypeName(fn)
@@ -124,7 +124,7 @@ func dbfPlanTypeName(pass *lint.Pass, cl *ast.CompositeLit) string {
 		t = p.Elem()
 	}
 	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil || lint.CanonicalPath(named.Obj().Pkg().Path()) != dbfPkgPath {
+	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != dbfPkgPath {
 		return ""
 	}
 	switch name := named.Obj().Name(); name {

@@ -33,7 +33,7 @@ var Analyzer = &lint.Analyzer{
 }
 
 func run(pass *lint.Pass) error {
-	path := lint.CanonicalPath(pass.Pkg.Path())
+	path := pass.Pkg.Path()
 	if path == ratPkgPath || path == ratPkgPath+"_test" {
 		return nil
 	}

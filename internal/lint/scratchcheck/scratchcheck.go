@@ -1,10 +1,11 @@
-// Package scratchcheck enforces the borrow discipline of the
-// core.Scratch analysis arena inside internal/core itself. (Escapes of
-// the arena — retention in struct fields or globals, capture by
+// Package scratchcheck enforces the discipline of the demand walker
+// inside internal/core itself. (Escapes of the core.Scratch arena —
+// retention in struct fields or globals, capture by
 // concurrently-launched functions, cross-package laundering — are
 // borrowcheck's job, interprocedurally via Borrows facts; this
-// analyzer keeps the two rules that are about core's own walker
-// plumbing, not about escape.) Two rules:
+// analyzer keeps the rules that are about core's own walker plumbing,
+// not about escape.) Three rules, each applied at every
+// w := o.acquireWalker(...) site:
 //
 //  1. A function that has borrowed the walker via o.acquireWalker must
 //     not pass the same Options o on to another call while the borrow
@@ -14,6 +15,11 @@
 //  2. Every w := o.acquireWalker(...) must be followed immediately by
 //     defer o.releaseWalker(w), so a panicking walk cannot leak the
 //     borrow and poison the arena for its owner.
+//  3. A function that starts a walk must consult the event budget
+//     (Options.MaxEvents or the maxEvents helper; see the "Event
+//     pruning" section of docs/PERF.md). An uncapped pseudo-polynomial
+//     walk can run effectively forever on adversarial parameters; the
+//     budget turns that into a reported, inexact (or error) result.
 //
 // Test files are exempt: scratch_test.go deliberately constructs the
 // flagged patterns to pin their runtime behavior.
@@ -31,29 +37,35 @@ const corePkgPath = "mcspeedup/internal/core"
 // Analyzer is the scratchcheck analyzer.
 var Analyzer = &lint.Analyzer{
 	Name: "scratchcheck",
-	Doc:  "forbid double-borrowing or leaking the core.Scratch walker inside internal/core",
+	Doc:  "forbid double-borrowing, leaking or unbudgeted walks of the core.Scratch walker inside internal/core",
 	Run:  run,
 }
 
 func run(pass *lint.Pass) error {
-	if lint.CanonicalPath(pass.Pkg.Path()) != corePkgPath {
+	if pass.Pkg.Path() != corePkgPath {
 		return nil
 	}
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f.Pos()) {
 			continue
 		}
-		checkBorrowDiscipline(pass, f)
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				checkFunc(pass, fd)
+			}
+		}
 	}
 	return nil
 }
 
-// checkBorrowDiscipline enforces both rules inside internal/core: an
-// acquireWalker assignment must be chased by defer releaseWalker on the
-// next statement, and the borrowed Options must not be handed to another
-// call while the borrow is live.
-func checkBorrowDiscipline(pass *lint.Pass, f *ast.File) {
-	ast.Inspect(f, func(n ast.Node) bool {
+// checkFunc enforces the three rules on one function: an acquireWalker
+// assignment must be chased by defer releaseWalker on the next
+// statement, the borrowed Options must not be handed to another call
+// while the borrow is live, and the function must read the event
+// budget (reported once, at its first walk).
+func checkFunc(pass *lint.Pass, fd *ast.FuncDecl) {
+	budgeted := readsEventBudget(pass, fd.Body)
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		block, ok := n.(*ast.BlockStmt)
 		if !ok {
 			return true
@@ -71,9 +83,39 @@ func checkBorrowDiscipline(pass *lint.Pass, f *ast.File) {
 				pass.Reportf(as.Pos(), "o.acquireWalker must be immediately followed by defer o.releaseWalker(w): without the defer a panicking walk leaks the borrowed Scratch")
 			}
 			reportBorrowedOptionsEscapes(pass, block.List[i+1:], call)
+			if !budgeted {
+				pass.Reportf(call.Pos(), "%s starts a demand walk (acquireWalker) without consulting Options.MaxEvents (or maxEvents): unbudgeted pseudo-polynomial walks can run unbounded on adversarial parameters", fd.Name.Name)
+				budgeted = true // one report per function
+			}
 		}
 		return true
 	})
+}
+
+// readsEventBudget reports whether body reads core's Options.MaxEvents
+// field or calls its maxEvents helper.
+func readsEventBudget(pass *lint.Pass, body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok && !found {
+			found = isEventBudget(pass.TypesInfo.Uses[sel.Sel])
+		}
+		return !found
+	})
+	return found
+}
+
+func isEventBudget(obj types.Object) bool {
+	if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != corePkgPath {
+		return false
+	}
+	switch obj := obj.(type) {
+	case *types.Func:
+		return obj.Name() == "maxEvents"
+	case *types.Var:
+		return obj.IsField() && obj.Name() == "MaxEvents"
+	}
+	return false
 }
 
 // isWalkerMethod reports whether call invokes the named core.Options

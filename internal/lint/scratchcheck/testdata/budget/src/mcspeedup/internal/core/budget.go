@@ -1,5 +1,5 @@
 // Package core is a minimal stub of mcspeedup/internal/core for the
-// prunecheck testdata: the walker, the walk options, and the event-budget
+// scratchcheck event-budget rule: the walker, the walk options, and the
 // rule in both its flagged and its clean forms.
 package core
 

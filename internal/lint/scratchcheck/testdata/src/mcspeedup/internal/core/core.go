@@ -1,7 +1,7 @@
 // Package core is a minimal stub of mcspeedup/internal/core for the
-// scratchcheck testdata. It doubles as the borrow-discipline test
-// package: rules 3 and 4 only apply inside internal/core, so their
-// flagged and clean cases live here, at the scoped import path.
+// scratchcheck testdata. The rules only apply inside internal/core, so
+// the borrow rules' flagged and clean cases live here, at the scoped
+// import path; the event-budget rule's live in testdata/budget.
 package core
 
 // Scratch mirrors the real single-goroutine walker arena.
@@ -9,13 +9,24 @@ type Scratch struct {
 	inUse bool
 }
 
+// hiWalker mirrors the real event walker.
 type hiWalker struct{}
+
+func (w *hiWalker) Next() bool { return false }
 
 // Options mirrors the real analysis options; its Scratch field is the
 // sanctioned per-call channel and must not be flagged by the
 // struct-field rule (which, additionally, does not apply inside core).
 type Options struct {
-	Scratch *Scratch
+	Scratch   *Scratch
+	MaxEvents int
+}
+
+func (o Options) maxEvents() int {
+	if o.MaxEvents <= 0 {
+		return 1_000_000
+	}
+	return o.MaxEvents
 }
 
 func (o Options) acquireWalker() *hiWalker  { return &hiWalker{} }
@@ -27,17 +38,19 @@ func disciplined(o Options) int {
 	w := o.acquireWalker()
 	defer o.releaseWalker(w)
 	_ = w
-	return 0
+	return o.maxEvents()
 }
 
-func leaky(o Options) {
+func leaky(o Options) int {
 	w := o.acquireWalker() // want `must be immediately followed by defer`
 	_ = w
+	return o.maxEvents()
 }
 
 func nested(o Options) int {
 	w := o.acquireWalker()
 	defer o.releaseWalker(w)
 	_ = w
+	_ = o.maxEvents()
 	return analyzeOpts(o) // want `passed to a nested call while its Scratch walker is borrowed`
 }

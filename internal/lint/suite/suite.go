@@ -1,6 +1,7 @@
 // Package suite declares the repository's full analyzer roster — the
-// single list cmd/mcs-vet, the benchmarks, and the round-trip tests
-// all drive, so a new analyzer registered here is everywhere at once.
+// single list cmd/mcs-vet, the vet wall-time benchmark in cmd/mcs-bench
+// and the module-runner tests all drive, so a new analyzer registered
+// here is everywhere at once.
 package suite
 
 import (
@@ -12,20 +13,18 @@ import (
 	"mcspeedup/internal/lint/lockcheck"
 	"mcspeedup/internal/lint/metricscheck"
 	"mcspeedup/internal/lint/plancheck"
-	"mcspeedup/internal/lint/prunecheck"
 	"mcspeedup/internal/lint/ratcheck"
 	"mcspeedup/internal/lint/scratchcheck"
 )
 
-// Analyzers is the suite, in reporting-name order within each theme:
-// the determinism and theorem-shape analyzers first (per-package),
-// then the fact-based interprocedural ones.
+// Analyzers is the suite, in the order each package's passes run: the
+// per-package determinism and theorem-shape analyzers first, then the
+// fact-based interprocedural ones.
 var Analyzers = []*lint.Analyzer{
 	ratcheck.Analyzer,
 	determcheck.Analyzer,
 	scratchcheck.Analyzer,
 	metricscheck.Analyzer,
-	prunecheck.Analyzer,
 	plancheck.Analyzer,
 	deltacheck.Analyzer,
 	borrowcheck.Analyzer,

@@ -1,6 +1,6 @@
 // Package keep launders arenas into package state: the Borrows fact it
-// exports on Hold is what the round-trip tests watch crossing between
-// packages (and, under go vet, between unit invocations of the tool).
+// exports on Hold is what the module-runner tests watch crossing
+// between packages (and replaying from the fact cache on a warm run).
 package keep
 
 import "mcspeedup/internal/core"

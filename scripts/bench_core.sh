@@ -20,6 +20,6 @@ if [ "${1:-}" = "-cpuprofile" ]; then
 fi
 
 # Every run also appends a dated entry (git rev, per-benchmark numbers,
-# FMS pruned-vs-unpruned event counters) to BENCH_trajectory.json, the
+# FMS examined-event and jump counters) to BENCH_trajectory.json, the
 # commit-over-commit history CI uploads as an artifact.
 go run ./cmd/mcs-bench -out BENCH_core.json -trajectory BENCH_trajectory.json "$@"
