@@ -32,13 +32,15 @@ func TaskSigma(t *task.Task) rat.Rat { return dbf.TaskSigma(t) }
 // and is monotone increasing in x and decreasing in y, matching the
 // paper's Fig. 4a.
 func ClosedFormSpeedup(s task.Set) rat.Rat {
-	sum := new(big.Rat)
-	for i := range s {
-		sigma := TaskSigma(&s[i])
-		if sigma.IsInf() {
-			return rat.PosInf
-		}
-		sum.Add(sum, sigma.Big())
+	return closedFormSpeedup(dbf.SigmaSum(s))
+}
+
+// closedFormSpeedup finishes the Lemma-6 bound from the exact Σσ_i over
+// the finite σ_i and the count of infinite ones (dbf.SigmaSum, or a
+// SetState's maintained copy of it).
+func closedFormSpeedup(sum *big.Rat, inf int) rat.Rat {
+	if inf > 0 {
+		return rat.PosInf
 	}
 	// Rounding up (if needed at all) keeps the Lemma-6 upper bound sound.
 	return rat.FromBig(sum, true)
@@ -57,32 +59,14 @@ func ClosedFormSpeedup(s task.Set) rat.Rat {
 // still contribute C_i(HI) to the numerator: their carry-over job must
 // drain before the processor idles.
 func ClosedFormReset(s task.Set, speed rat.Rat) rat.Rat {
-	smin := ClosedFormSpeedup(s)
+	return closedFormReset(s.TotalCHI(), speed, ClosedFormSpeedup(s))
+}
+
+// closedFormReset finishes the Lemma-7 bound from Σ_i C_i(HI) and an
+// already-computed Lemma-6 closed-form speedup.
+func closedFormReset(totalCHI task.Time, speed, smin rat.Rat) rat.Rat {
 	if smin.IsInf() || speed.Cmp(smin) <= 0 {
 		return rat.PosInf
 	}
-	return rat.FromInt64(int64(s.TotalCHI())).Div(speed.Sub(smin))
-}
-
-// closedFormSpeedupState is ClosedFormSpeedup over the state's maintained
-// Σσ_i aggregate: O(1) per call instead of an O(n) rational fold.
-// Bit-identical to the cold form because exact rational addition is
-// order-independent and exactly invertible (SetState's contract), and the
-// final rounding is the same rat.FromBig call.
-func closedFormSpeedupState(st *dbf.SetState) rat.Rat {
-	sum, inf := st.SigmaSum()
-	if inf > 0 {
-		return rat.PosInf
-	}
-	return rat.FromBig(sum, true)
-}
-
-// closedFormResetState is ClosedFormReset given an already-computed
-// Lemma-6 closed-form speedup (avoiding its recomputation) and the
-// state's maintained ΣC(HI).
-func closedFormResetState(st *dbf.SetState, speed, smin rat.Rat) rat.Rat {
-	if smin.IsInf() || speed.Cmp(smin) <= 0 {
-		return rat.PosInf
-	}
-	return rat.FromInt64(int64(st.TotalCHI())).Div(speed.Sub(smin))
+	return rat.FromInt64(int64(totalCHI)).Div(speed.Sub(smin))
 }

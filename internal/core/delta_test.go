@@ -265,10 +265,18 @@ func TestSetStateAggregatesMatchCold(t *testing.T) {
 						si, m, lo1, hi1, lo2, hi2, lo3, hi3)
 				}
 			}
+			// The maintained exact sums against both the fresh state and
+			// the cold dbf folds over Tasks().
 			sum1, inf1 := st.SigmaSum()
 			sum2, inf2 := fresh.SigmaSum()
-			if sum1.Cmp(sum2) != 0 || inf1 != inf2 {
-				t.Fatalf("set %d: SigmaSum (%v,%d) != cold (%v,%d)", si, sum1, inf1, sum2, inf2)
+			sum3, inf3 := dbf.SigmaSum(st.Tasks())
+			if sum1.Cmp(sum2) != 0 || inf1 != inf2 || sum1.Cmp(sum3) != 0 || inf1 != inf3 {
+				t.Fatalf("set %d: SigmaSum (%v,%d) != cold (%v,%d) / (%v,%d)",
+					si, sum1, inf1, sum2, inf2, sum3, inf3)
+			}
+			d1, d2, d3 := st.LODemandSum(), fresh.LODemandSum(), dbf.LODemandSum(st.Tasks())
+			if d1.Cmp(d2) != 0 || d1.Cmp(d3) != 0 {
+				t.Fatalf("set %d: LO demand sum %v != cold %v / %v", si, d1, d2, d3)
 			}
 			if st.SumActiveCHI() != fresh.SumActiveCHI() || st.TotalCHI() != fresh.TotalCHI() {
 				t.Fatalf("set %d: ΣC(HI) %d/%d != cold %d/%d",
@@ -281,12 +289,6 @@ func TestSetStateAggregatesMatchCold(t *testing.T) {
 			}
 			if st.Fingerprint() != fresh.Fingerprint() {
 				t.Fatalf("set %d: fingerprint %q != cold %q", si, st.Fingerprint(), fresh.Fingerprint())
-			}
-			if st.LOUtil().Cmp(fresh.LOUtil()) != 0 {
-				t.Fatalf("set %d: LO util %v != cold %v", si, st.LOUtil(), fresh.LOUtil())
-			}
-			if st.LODemandSum().Cmp(fresh.LODemandSum()) != 0 {
-				t.Fatalf("set %d: LO demand sum %v != cold %v", si, st.LODemandSum(), fresh.LODemandSum())
 			}
 		}
 		if applied < 8 {

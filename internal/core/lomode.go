@@ -9,13 +9,16 @@ import (
 	"mcspeedup/internal/task"
 )
 
-// ceilBig returns ⌈v⌉ as an int64 (v is horizon-scale, far within range).
-func ceilBig(v *big.Rat) int64 {
+// ceilBig returns ⌈v⌉ for v ≥ 0, with ok=false when it exceeds int64.
+func ceilBig(v *big.Rat) (ceil int64, ok bool) {
 	q := new(big.Int).Quo(v.Num(), v.Denom())
 	if v.Num().Sign() > 0 && new(big.Int).Mul(q, v.Denom()).Cmp(v.Num()) != 0 {
 		q.Add(q, big.NewInt(1))
 	}
-	return q.Int64()
+	if !q.IsInt64() {
+		return 0, false
+	}
+	return q.Int64(), true
 }
 
 // SchedulableLO reports whether the task set is EDF-schedulable in LO mode
@@ -27,25 +30,23 @@ func ceilBig(v *big.Rat) int64 {
 // pseudo-polynomial horizon max(max_i D_i(LO), Σ_i (T_i−D_i)·U_i/(1−U)).
 // For U = 1 it is exact when all LO-mode deadlines are implicit (then the
 // demand never exceeds U·Δ); any other U = 1 set is conservatively
-// rejected. U > 1 is always unschedulable.
+// rejected. U > 1 is always unschedulable. A U < 1 set whose horizon
+// exceeds the int64 time range (U within ~Σ(T−D)·U_i/2^63 of 1) is
+// likewise conservatively rejected: QPA cannot start from such a horizon.
 func SchedulableLO(s task.Set) (bool, error) {
 	if err := s.Validate(); err != nil {
 		return false, err
 	}
 	// The utilization sum and the horizon are computed in big.Rat: large
 	// sets with coprime periods overflow fixed-width rationals.
-	u := new(big.Rat)
-	for i := range s {
-		u.Add(u, big.NewRat(int64(s[i].WCET[task.LO]), int64(s[i].Period[task.LO])))
-	}
-	return schedulableLOWithSums(s, u, nil), nil
+	return schedulableLOWithSums(s, s.UtilSum(task.LO, nil), nil), nil
 }
 
 // schedulableLOWithSums is the shared decision body of SchedulableLO and
 // schedulableLOState: the utilization trichotomy plus the QPA run, given
 // the exact LO-utilization sum and (optionally) the precomputed QPA
 // horizon numerator Σ(T−D)·C/T. Neither big.Rat is mutated. sum may be
-// nil, in which case it is derived from s.
+// nil, in which case dbf.LODemandSum derives it from s.
 func schedulableLOWithSums(s task.Set, u, sum *big.Rat) bool {
 	one := big.NewRat(1, 1)
 	switch u.Cmp(one) {
@@ -67,9 +68,10 @@ func schedulableLOWithSums(s task.Set, u, sum *big.Rat) bool {
 	// Any Δ violating the PDC satisfies Δ < Σ(T_i−D_i)·U_i/(1−U); run
 	// the QPA downward iteration (see qpa.go) over that horizon.
 	if sum == nil {
-		sum = loDemandSumBig(s)
+		sum = dbf.LODemandSum(s)
 	}
-	return qpaLO(s, loHorizonFrom(s, sum, u))
+	limit, ok := loHorizonFrom(s, sum, u)
+	return ok && qpaLO(s, limit)
 }
 
 // schedulableLOState is SchedulableLO over an incrementally maintained
@@ -83,7 +85,7 @@ func schedulableLOState(st *dbf.SetState) bool {
 	if v, ok := st.LOSchedCache(); ok {
 		return v
 	}
-	v := schedulableLOWithSums(st.Tasks(), st.LOUtil(), st.LODemandSum())
+	v := schedulableLOWithSums(st.Tasks(), st.UtilSum(task.LO), st.LODemandSum())
 	st.StoreLOSched(v)
 	return v
 }

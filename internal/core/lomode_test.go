@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -39,6 +40,40 @@ func TestSchedulableLOBasics(t *testing.T) {
 	tight := task.Set{task.NewLO("a", 20, 5, 3), task.NewLO("b", 20, 5, 3)}
 	if ok, _ := SchedulableLO(tight); ok {
 		t.Error("colliding-deadline set accepted")
+	}
+}
+
+// TestSchedulableLOHorizonOverflow: a U < 1 set whose QPA horizon
+// exceeds int64 is conservatively rejected, by the cold test and the
+// state-aware one alike, instead of running QPA from a wrapped horizon.
+func TestSchedulableLOHorizonOverflow(t *testing.T) {
+	for i, s := range []task.Set{
+		// Horizon ≈ 4.9e24, which used to wrap to 466633565525765444.
+		{task.NewLO("a", 1000000007, 997537961, 995075916), task.NewLO("b", 998244353, 501579899, 4915446)},
+		// Horizon ≈ 3.3e19, which used to wrap negative and fall back to
+		// max D = 9833352.
+		{task.NewLO("a", 10000019, 9833352, 9833352), task.NewLO("b", 10000079, 166668, 166668)},
+		// Horizon ≈ 1.1e19, which used to wrap below max D = 8298971;
+		// QPA found no violation up to there and accepted the set.
+		{task.NewLO("a", 8298971, 8298971, 7342078), task.NewLO("b", 7263886, 2304433, 837545)},
+	} {
+		u := s.UtilSum(task.LO, nil)
+		if u.Cmp(big.NewRat(1, 1)) >= 0 {
+			t.Fatalf("set %d: U(LO) = %v, want < 1", i, u)
+		}
+		if limit, ok := loHorizonFrom(s, dbf.LODemandSum(s), u); ok {
+			t.Errorf("set %d: horizon %d reported in range", i, limit)
+		}
+		if ok, err := SchedulableLO(s); err != nil || ok {
+			t.Errorf("set %d: SchedulableLO = %v, %v; want false", i, ok, err)
+		}
+		st, err := dbf.NewSetState(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if schedulableLOState(st) {
+			t.Errorf("set %d: state-aware LO test accepted", i)
+		}
 	}
 }
 

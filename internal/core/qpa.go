@@ -110,35 +110,17 @@ func demandWalkLO(s task.Set, limit int64) bool {
 	return true
 }
 
-// loHorizon computes the pseudo-polynomial PDC horizon
-// max(max_i D_i(LO), Σ_i (T_i−D_i)·U_i/(1−U)) in big.Rat (utilization
-// sums of large sets overflow fixed-width rationals). Precondition:
-// U < 1 (u is the precomputed utilization sum).
-func loHorizon(s task.Set, u *big.Rat) int64 {
-	return loHorizonFrom(s, loDemandSumBig(s), u)
-}
-
-// loDemandSumBig sums the horizon numerator Σ(T−D)·C/T over the LO-mode
-// parameters. dbf.SetState maintains the same sum incrementally; the two
-// must stay term-for-term identical for the delta path's bit-identity.
-func loDemandSumBig(s task.Set) *big.Rat {
-	sum := new(big.Rat)
-	for i := range s {
-		ti, di := s[i].Period[task.LO], s[i].Deadline[task.LO]
-		term := new(big.Rat).Mul(
-			big.NewRat(int64(ti-di), 1),
-			big.NewRat(int64(s[i].WCET[task.LO]), int64(ti)))
-		sum.Add(sum, term)
-	}
-	return sum
-}
-
-// loHorizonFrom finishes the horizon from a precomputed numerator.
-// Neither big.Rat argument is mutated (state callers retain theirs).
-func loHorizonFrom(s task.Set, sum, u *big.Rat) int64 {
+// loHorizonFrom computes the pseudo-polynomial PDC horizon
+// max(max_i D_i(LO), Σ_i (T_i−D_i)·U_i/(1−U)) from the exact utilization
+// u and horizon numerator sum (dbf.LODemandSum), with ok=false when it
+// exceeds int64. Precondition: U < 1. Neither big.Rat argument is
+// mutated (state callers retain theirs).
+func loHorizonFrom(s task.Set, sum, u *big.Rat) (limit int64, ok bool) {
 	one := big.NewRat(1, 1)
 	horizon := new(big.Rat).Quo(sum, new(big.Rat).Sub(one, u))
-	limit := ceilBig(horizon)
+	if limit, ok = ceilBig(horizon); !ok {
+		return 0, false
+	}
 	var maxD task.Time
 	for i := range s {
 		if d := s[i].Deadline[task.LO]; d > maxD {
@@ -148,5 +130,5 @@ func loHorizonFrom(s task.Set, sum, u *big.Rat) int64 {
 	if task.Time(limit) < maxD {
 		limit = int64(maxD)
 	}
-	return limit
+	return limit, true
 }

@@ -5,10 +5,21 @@ import (
 	"math/rand"
 	"testing"
 
+	"mcspeedup/internal/dbf"
 	"mcspeedup/internal/gen"
 	"mcspeedup/internal/rat"
 	"mcspeedup/internal/task"
 )
+
+// qpaLimit is the production QPA horizon of s, with ok=false when
+// U(LO) ≥ 1 or the horizon overflows int64.
+func qpaLimit(s task.Set) (int64, bool) {
+	u := s.UtilSum(task.LO, nil)
+	if u.Cmp(big.NewRat(1, 1)) >= 0 {
+		return 0, false
+	}
+	return loHorizonFrom(s, dbf.LODemandSum(s), u)
+}
 
 // TestQPAAgainstDemandWalk: the QPA iteration and the full testing-point
 // walk must agree on every random set with U < 1.
@@ -17,14 +28,10 @@ func TestQPAAgainstDemandWalk(t *testing.T) {
 	yes, no := 0, 0
 	for iter := 0; iter < 2000; iter++ {
 		s := randomSet(rnd, 1+rnd.Intn(5), 30)
-		u := new(big.Rat)
-		for i := range s {
-			u.Add(u, big.NewRat(int64(s[i].WCET[task.LO]), int64(s[i].Period[task.LO])))
-		}
-		if u.Cmp(big.NewRat(1, 1)) >= 0 {
+		limit, ok := qpaLimit(s)
+		if !ok {
 			continue
 		}
-		limit := loHorizon(s, u)
 		got := qpaLO(s, limit)
 		want := demandWalkLO(s, limit)
 		if got != want {
@@ -55,14 +62,10 @@ func TestQPAOnGeneratorSets(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		u := new(big.Rat)
-		for i := range s {
-			u.Add(u, big.NewRat(int64(s[i].WCET[task.LO]), int64(s[i].Period[task.LO])))
-		}
-		if u.Cmp(big.NewRat(1, 1)) >= 0 {
+		limit, ok := qpaLimit(s)
+		if !ok {
 			continue
 		}
-		limit := loHorizon(s, u)
 		if got, want := qpaLO(s, limit), demandWalkLO(s, limit); got != want {
 			t.Fatalf("QPA = %v, walk = %v for generator set:\n%s", got, want, s.Table())
 		}
@@ -72,14 +75,12 @@ func TestQPAOnGeneratorSets(t *testing.T) {
 func TestQPAKnownCases(t *testing.T) {
 	// Colliding tight deadlines: h(5) = 6 > 5.
 	tight := task.Set{task.NewLO("a", 20, 5, 3), task.NewLO("b", 20, 5, 3)}
-	u := big.NewRat(3, 10)
-	if qpaLO(tight, loHorizon(tight, u)) {
+	if limit, _ := qpaLimit(tight); qpaLO(tight, limit) {
 		t.Error("QPA accepted an overloaded instant")
 	}
 	// A single implicit task is always schedulable.
 	one := task.Set{task.NewLO("a", 10, 10, 9)}
-	u = big.NewRat(9, 10)
-	if !qpaLO(one, loHorizon(one, u)) {
+	if limit, _ := qpaLimit(one); !qpaLO(one, limit) {
 		t.Error("QPA rejected a trivially schedulable set")
 	}
 }
@@ -89,7 +90,6 @@ func BenchmarkQPAVsWalk(b *testing.B) {
 	p := gen.Defaults()
 	var (
 		s     task.Set
-		u     *big.Rat
 		limit int64
 	)
 	for { // redraw until the LO mode is not saturated
@@ -98,16 +98,12 @@ func BenchmarkQPAVsWalk(b *testing.B) {
 		if err != nil {
 			continue
 		}
-		u = new(big.Rat)
-		for i := range cand {
-			u.Add(u, big.NewRat(int64(cand[i].WCET[task.LO]), int64(cand[i].Period[task.LO])))
-		}
-		if u.Cmp(big.NewRat(1, 1)) < 0 {
+		var ok bool
+		if limit, ok = qpaLimit(cand); ok {
 			s = cand
 			break
 		}
 	}
-	limit = loHorizon(s, u)
 	b.Run("qpa", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			qpaLO(s, limit)

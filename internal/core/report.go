@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"mcspeedup/internal/dbf"
 	"mcspeedup/internal/rat"
 	"mcspeedup/internal/task"
 )
@@ -41,36 +42,48 @@ func Analyze(s task.Set, speed rat.Rat) (Report, error) {
 
 // AnalyzeOpts is Analyze with explicit walk options — Scratch reuse for
 // tight loops and event caps. A Scratch never changes a result, so the
-// report is byte-identical with or without one.
+// report is byte-identical with or without one. It runs Session's report
+// pipeline over a one-shot dbf.SetState with the cold Theorem-2 walk, so
+// every exact sum is folded once per call.
 func AnalyzeOpts(s task.Set, speed rat.Rat, o Options) (Report, error) {
-	if err := s.Validate(); err != nil {
+	st, err := dbf.NewSetState(s)
+	if err != nil {
 		return Report{}, err
 	}
 	if err := validateSpeed(speed); err != nil {
 		return Report{}, err
 	}
+	// The state is discarded, so the report keeps its private copy of
+	// the set.
+	return analyzeState(st, speed, o, func() (SpeedupResult, error) {
+		return minSpeedupState(st, o)
+	})
+}
+
+// analyzeState is the one report pipeline, behind AnalyzeOpts and
+// Session: the utilizations, the LO-mode verdict and the closed forms
+// come from the state's exact aggregates, the Corollary-5 walk runs
+// with o, and speedup runs the Theorem-2 walk (cold for Analyze,
+// warm-started or over a recorded curve for a Session). The report's Set
+// is the state's live view of its task set. speed must be valid.
+func analyzeState(st *dbf.SetState, speed rat.Rat, o Options, speedup func() (SpeedupResult, error)) (Report, error) {
 	r := Report{
-		Set:    s.Clone(),
-		Speed:  speed,
-		UtilLO: s.Util(task.LO),
-		UtilHI: s.Util(task.HI),
+		Set:           st.Tasks(),
+		Speed:         speed,
+		UtilLO:        st.Util(task.LO),
+		UtilHI:        st.Util(task.HI),
+		SchedulableLO: schedulableLOState(st),
 	}
 	var err error
-	r.SchedulableLO, err = SchedulableLO(s)
-	if err != nil {
-		return Report{}, err
-	}
-	r.Speedup, err = MinSpeedupOpts(s, o)
-	if err != nil {
+	if r.Speedup, err = speedup(); err != nil {
 		return Report{}, err
 	}
 	r.SchedulableHI = speed.Cmp(r.Speedup.Speedup) >= 0
-	r.Reset, err = ResetTimeOpts(s, speed, o)
-	if err != nil {
+	if r.Reset, err = resetTimeState(st, speed, o); err != nil {
 		return Report{}, err
 	}
-	r.ClosedSpeedup = ClosedFormSpeedup(s)
-	r.ClosedReset = ClosedFormReset(s, speed)
+	r.ClosedSpeedup = closedFormSpeedup(st.SigmaSum())
+	r.ClosedReset = closedFormReset(st.TotalCHI(), speed, r.ClosedSpeedup)
 	return r, nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -48,5 +49,66 @@ func TestAnalyzeReport(t *testing.T) {
 	}
 	if _, err := Analyze(examplesets.TableI(), rat.Zero); err == nil {
 		t.Error("zero speed accepted")
+	}
+}
+
+// coprimeOverflowSet has distinct prime periods, so the HI-mode
+// utilization's reduced denominator overflows UtilBounds' int64 fast
+// path and the report runs on the directed-rounded big.Rat bounds.
+func coprimeOverflowSet(t *testing.T) task.Set {
+	t.Helper()
+	var s task.Set
+	primes := []task.Time{10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079, 10091, 10093, 10099, 10103}
+	for i, p := range primes {
+		name := string(rune('a' + i))
+		if i%3 == 2 {
+			s = append(s, task.NewLO(name, p, p-7*task.Time(i), 300+task.Time(i)))
+		} else {
+			s = append(s, task.NewHI(name, p, p/2+task.Time(i), p, 250+task.Time(i), 700+task.Time(i)))
+		}
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi := s.UtilBounds(task.HI); lo.Eq(hi) {
+		t.Fatalf("U(HI) = %v is exact; want the big.Rat fallback", hi)
+	}
+	return s
+}
+
+// TestAnalyzeMatchesPublicParts ties the one report pipeline, which
+// Session shares, to the public single-analysis functions: Analyze must
+// equal the report assembled from Util, SchedulableLO, MinSpeedupOpts,
+// ResetTimeOpts and the closed forms.
+func TestAnalyzeMatchesPublicParts(t *testing.T) {
+	sets := append(prunedSets(t, 8), fmsPreparedSet(t), coprimeOverflowSet(t))
+	for si, s := range sets {
+		for _, speed := range []rat.Rat{rat.New(3, 2), rat.Two, rat.FromInt64(4)} {
+			got, err := Analyze(s, speed)
+			if err != nil {
+				t.Fatalf("set %d speed %v: %v", si, speed, err)
+			}
+			want := Report{
+				Set:           s,
+				Speed:         speed,
+				UtilLO:        s.Util(task.LO),
+				UtilHI:        s.Util(task.HI),
+				ClosedSpeedup: ClosedFormSpeedup(s),
+				ClosedReset:   ClosedFormReset(s, speed),
+			}
+			if want.SchedulableLO, err = SchedulableLO(s); err != nil {
+				t.Fatal(err)
+			}
+			if want.Speedup, err = MinSpeedupOpts(s, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			want.SchedulableHI = speed.Cmp(want.Speedup.Speedup) >= 0
+			if want.Reset, err = ResetTimeOpts(s, speed, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("set %d speed %v: Analyze != public parts\nAnalyze: %+v\nparts:   %+v", si, speed, got, want)
+			}
+		}
 	}
 }

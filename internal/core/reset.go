@@ -75,11 +75,8 @@ func ResetTimeOpts(s task.Set, speed rat.Rat, o Options) (ResetResult, error) {
 // resetTimeState is ResetTimeOpts over an incrementally maintained
 // demand state: the Validate pass and the O(n) utilization recomputation
 // are replaced by the state's cached values (bit-identical by SetState's
-// contract).
+// contract). The caller has validated speed.
 func resetTimeState(st *dbf.SetState, speed rat.Rat, o Options) (ResetResult, error) {
-	if err := validateSpeed(speed); err != nil {
-		return ResetResult{}, err
-	}
 	_, uHI := st.UtilBounds(task.HI)
 	return resetTimeWalk(st.Tasks(), speed, uHI, o)
 }

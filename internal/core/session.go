@@ -15,10 +15,11 @@ import (
 // witness Δ of the previous analysis (so the next analysis's Theorem-2
 // walk starts with a near-supremum skip cutoff).
 //
-// Reports are bit-identical to Analyze on the same set and speed: the
-// state's cached aggregates equal the cold recomputation by SetState's
-// contract, and the warm witness never changes a walk's result (see
-// Options.WarmWitness). The differential and fuzz tests pin this.
+// Reports are bit-identical to Analyze on the same set and speed: both
+// run one report pipeline (analyzeState), the state's maintained
+// aggregates equal the cold folds by SetState's contract, and the warm
+// witness never changes a walk's result (see Options.WarmWitness). The
+// differential and fuzz tests pin this.
 //
 // A Session is not safe for concurrent use; callers serialize access.
 type Session struct {
@@ -100,30 +101,17 @@ func (ss *Session) Report() (r Report, recomputed bool, err error) {
 	return ss.report, true, nil
 }
 
-// reanalyze runs the full suite over the state: the same pipeline as
-// Analyze, with the O(n) preambles replaced by the state's cached
-// aggregates and the Theorem-2 walk warm-started at the prior witness.
+// reanalyze runs Analyze's report pipeline over the session's state, with
+// the Theorem-2 walk warm-started at the prior witness (or re-walked over
+// the recorded curve).
 func (ss *Session) reanalyze() error {
-	st := ss.st
-	r := Report{
-		Set:    st.Tasks().Clone(),
-		Speed:  ss.speed,
-		UtilLO: st.Util(task.LO),
-		UtilHI: st.Util(task.HI),
-	}
-	r.SchedulableLO = schedulableLOState(st)
-	var err error
-	r.Speedup, err = ss.minSpeedup()
+	r, err := analyzeState(ss.st, ss.speed, Options{Scratch: &ss.scratch}, ss.minSpeedup)
 	if err != nil {
 		return err
 	}
-	r.SchedulableHI = ss.speed.Cmp(r.Speedup.Speedup) >= 0
-	r.Reset, err = resetTimeState(st, ss.speed, Options{Scratch: &ss.scratch})
-	if err != nil {
-		return err
-	}
-	r.ClosedSpeedup = closedFormSpeedupState(st)
-	r.ClosedReset = closedFormResetState(st, ss.speed, r.ClosedSpeedup)
+	// Edits rewrite the state's set in place; the cached report keeps a
+	// copy.
+	r.Set = r.Set.Clone()
 	ss.report = r
 	ss.fresh = true
 	if r.Speedup.WitnessDelta > 0 {

@@ -64,12 +64,12 @@ func gcd(a, b task.Time) task.Time {
 // the rewired design searches.
 //
 // Every cached value is defined as "exactly what the cold recomputation
-// over Tasks() would produce": the lazy accessors call the same
-// functions (task.Set.Util/UtilBounds, HIHyperperiod, SumActiveCHI), and
-// the incrementally maintained ones use exact rational/integer
-// arithmetic whose result is independent of the update order, so delta
-// and cold analyses are bit-identical (pinned by the differential and
-// fuzz tests in internal/core).
+// over Tasks() would produce": the lazy accessors call the same cold
+// folds (task.Set.UtilSum/UtilBounds, HIHyperperiod, SumActiveCHI,
+// LODemandSum, SigmaSum), and the incrementally maintained ones use
+// exact rational/integer arithmetic whose result is independent of the
+// update order, so delta and cold analyses are bit-identical (pinned by
+// the differential and fuzz tests in internal/core).
 //
 // A SetState is not safe for concurrent use; callers (the server's
 // session layer) serialize access. All mutation goes through Apply —
@@ -94,10 +94,12 @@ type SetState struct {
 
 	// Exact per-mode utilization sums Σ C(m)/T(m) over tasks with bounded
 	// T(m), maintained incrementally once folded (nil until first
-	// requested). Util and UtilBounds are directed roundings of these
-	// exact values — the same roundings the cold paths apply to the same
-	// exact sum, so the cached results stay bit-identical while a C(HI)
-	// edit costs one big.Rat add/sub instead of an O(n) refold.
+	// requested). T(LO) is always bounded, so utilSum[LO] is the LO-mode
+	// test's exact Σ C(LO)/T(LO). Util and UtilBounds are directed
+	// roundings of these exact values — the same roundings the cold paths
+	// apply to the same exact sum, so the cached results stay
+	// bit-identical while a C(HI) edit costs one big.Rat add/sub instead
+	// of an O(n) refold.
 	utilSum [2]*big.Rat
 
 	hyperValid bool
@@ -106,14 +108,14 @@ type SetState struct {
 
 	fp string // cached Fingerprint; "" = invalid
 
-	// Exact big.Rat LO-mode sums, maintained incrementally (big.Rat
-	// addition is exactly invertible, unlike the int64 fast path of
-	// UtilBounds); nil until first requested.
-	loUtil      *big.Rat // Σ C(LO)/T(LO)
-	loDemandSum *big.Rat // Σ (T(LO)−D(LO))·C(LO)/T(LO), the QPA horizon numerator
+	// Exact QPA horizon numerator Σ (T(LO)−D(LO))·C(LO)/T(LO),
+	// maintained incrementally (big.Rat addition is exactly invertible,
+	// unlike the int64 fast path of UtilBounds); nil until first
+	// requested.
+	loDemandSum *big.Rat
 
 	// Exact Lemma-6 sum Σ_{finite σ_i} σ_i (TaskSigma), maintained like
-	// the LO sums, plus the count of tasks whose σ_i is infinite (which
+	// loDemandSum, plus the count of tasks whose σ_i is infinite (which
 	// big.Rat cannot hold); nil until first requested.
 	sigmaSum *big.Rat
 	sigmaInf int
@@ -190,7 +192,7 @@ func (st *SetState) noteChange(tc task.Touched) {
 		}
 		st.utilValid[task.HI] = false
 		st.boundsValid[task.HI] = false
-		st.noteUtil(task.HI, tc)
+		shift(st.utilSum[task.HI], tc, func(z *big.Rat, t task.Task) *big.Rat { return utilTerm(z, t, task.HI) })
 	}
 
 	if tc.THI || tc.Removed {
@@ -214,98 +216,115 @@ func (st *SetState) noteChange(tc task.Touched) {
 	if loTouched {
 		st.utilValid[task.LO] = false
 		st.boundsValid[task.LO] = false
-		st.noteUtil(task.LO, tc)
-		if st.loUtil != nil {
-			if !tc.Added {
-				st.loUtil.Sub(st.loUtil, loUtilTerm(&tc.Old))
-			}
-			if !tc.Removed {
-				st.loUtil.Add(st.loUtil, loUtilTerm(&tc.New))
-			}
-		}
+		shift(st.utilSum[task.LO], tc, func(z *big.Rat, t task.Task) *big.Rat { return utilTerm(z, t, task.LO) })
 	}
 	if st.sigmaSum != nil && (hiTouched || tc.CLO || tc.DLO || tc.DHI) {
-		// σ_i reads every parameter except T(LO); fold the task's before
-		// and after contributions exactly like the LO sums.
-		if !tc.Added {
-			st.dropSigma(&tc.Old)
+		// σ_i reads every parameter except T(LO); move the task's
+		// before and after contributions like the other exact sums.
+		shift(st.sigmaSum, tc, sigmaTerm)
+		if !tc.Added && TaskSigma(&tc.Old).IsInf() {
+			st.sigmaInf--
 		}
-		if !tc.Removed {
-			st.foldSigma(&tc.New)
+		if !tc.Removed && TaskSigma(&tc.New).IsInf() {
+			st.sigmaInf++
 		}
 	}
 
 	if loTouched || tc.DLO {
-		if st.loDemandSum != nil {
-			if !tc.Added {
-				st.loDemandSum.Sub(st.loDemandSum, loDemandTerm(&tc.Old))
-			}
-			if !tc.Removed {
-				st.loDemandSum.Add(st.loDemandSum, loDemandTerm(&tc.New))
-			}
-		}
+		shift(st.loDemandSum, tc, loDemandTerm)
 		st.loSchedValid = false
 	}
 }
 
-// loUtilTerm is one task's C(LO)/T(LO) contribution.
-func loUtilTerm(t *task.Task) *big.Rat {
-	return big.NewRat(int64(t.WCET[task.LO]), int64(t.Period[task.LO]))
-}
-
-// utilTerm is one task's C(m)/T(m) contribution to the mode-m
-// utilization, nil when T(m) is unbounded (terminated tasks contribute
-// zero in HI mode, exactly as task.Set.utilBig skips them).
-func utilTerm(t *task.Task, m task.Crit) *big.Rat {
-	if t.Period[m].IsUnbounded() {
-		return nil
-	}
-	return big.NewRat(int64(t.WCET[m]), int64(t.Period[m]))
-}
-
-// noteUtil folds one edit's before/after contributions into the
-// maintained mode-m utilization sum, if it has been built.
-func (st *SetState) noteUtil(m task.Crit, tc task.Touched) {
-	sum := st.utilSum[m]
+// shift moves one edit's before/after contributions through a maintained
+// exact sum, if it has been built. term sets z to one task's term and
+// returns it, or returns nil for a task that contributes nothing the sum
+// can hold.
+//
+// term takes the task by value: a pointer into tc would make every
+// edit's Touched escape to the heap through the unknown callee.
+func shift(sum *big.Rat, tc task.Touched, term func(z *big.Rat, t task.Task) *big.Rat) {
 	if sum == nil {
 		return
 	}
+	z := new(big.Rat)
 	if !tc.Added {
-		if term := utilTerm(&tc.Old, m); term != nil {
-			sum.Sub(sum, term)
+		if v := term(z, tc.Old); v != nil {
+			sum.Sub(sum, v)
 		}
 	}
 	if !tc.Removed {
-		if term := utilTerm(&tc.New, m); term != nil {
-			sum.Add(sum, term)
+		if v := term(z, tc.New); v != nil {
+			sum.Add(sum, v)
 		}
 	}
 }
 
-// utilSumFor returns the exact mode-m utilization sum, folding it once in
-// set order on first use and thereafter maintaining it per edit (exact
+// utilTerm sets z to one task's C(m)/T(m) contribution to the mode-m
+// utilization, or returns nil when T(m) is unbounded (terminated tasks
+// contribute zero in HI mode, exactly as task.Set.UtilSum skips them).
+func utilTerm(z *big.Rat, t task.Task, m task.Crit) *big.Rat {
+	if t.Period[m].IsUnbounded() {
+		return nil
+	}
+	return z.SetFrac64(int64(t.WCET[m]), int64(t.Period[m]))
+}
+
+// UtilSum returns the exact mode-m utilization sum Tasks().UtilSum(m,
+// nil), folded on first use and thereafter maintained per edit (exact
 // rational addition is order-independent and exactly invertible, so the
-// sum always equals the cold fold over Tasks()).
-func (st *SetState) utilSumFor(m task.Crit) *big.Rat {
+// sum always equals the cold fold over Tasks()). Callers must not mutate
+// the result.
+func (st *SetState) UtilSum(m task.Crit) *big.Rat {
 	if st.utilSum[m] == nil {
-		sum := new(big.Rat)
-		for i := range st.set {
-			if term := utilTerm(&st.set[i], m); term != nil {
-				sum.Add(sum, term)
-			}
-		}
-		st.utilSum[m] = sum
+		st.utilSum[m] = st.set.UtilSum(m, nil)
 	}
 	return st.utilSum[m]
 }
 
-// loDemandTerm is one task's (T−D)·C/T contribution to the QPA horizon
-// numerator, built exactly as core's cold loop builds it.
-func loDemandTerm(t *task.Task) *big.Rat {
+// loDemandTerm sets z to one task's (T−D)·C/T contribution to the QPA
+// horizon numerator.
+func loDemandTerm(z *big.Rat, t task.Task) *big.Rat {
 	ti, di := t.Period[task.LO], t.Deadline[task.LO]
-	return new(big.Rat).Mul(
-		big.NewRat(int64(ti-di), 1),
-		big.NewRat(int64(t.WCET[task.LO]), int64(ti)))
+	var gap big.Rat
+	return z.Mul(z.SetFrac64(int64(t.WCET[task.LO]), int64(ti)), gap.SetInt64(int64(ti-di)))
+}
+
+// LODemandSum returns the exact QPA horizon numerator
+// Σ_i (T_i−D_i)·C_i/T_i over the LO-mode parameters: the one cold fold
+// of loDemandTerm, which SetState maintains incrementally.
+func LODemandSum(s task.Set) *big.Rat {
+	var sum, z big.Rat
+	for i := range s {
+		sum.Add(&sum, loDemandTerm(&z, s[i]))
+	}
+	return &sum
+}
+
+// sigmaTerm sets z to one task's σ_i (TaskSigma), or returns nil when
+// σ_i is infinite.
+func sigmaTerm(z *big.Rat, t task.Task) *big.Rat {
+	if sigma := TaskSigma(&t); !sigma.IsInf() {
+		return z.SetFrac64(sigma.Num(), sigma.Den())
+	}
+	return nil
+}
+
+// SigmaSum returns the exact Lemma-6 sum Σσ_i over the tasks with finite
+// σ_i, plus the count of tasks whose σ_i is infinite (which big.Rat
+// cannot hold): the one cold fold of sigmaTerm, which SetState maintains
+// incrementally.
+func SigmaSum(s task.Set) (sum *big.Rat, inf int) {
+	sum = new(big.Rat)
+	var z big.Rat
+	for i := range s {
+		if v := sigmaTerm(&z, s[i]); v != nil {
+			sum.Add(sum, v)
+		} else {
+			inf++
+		}
+	}
+	return sum, inf
 }
 
 // Util returns Tasks().Util(m), cached and — once the exact sum is
@@ -313,7 +332,7 @@ func loDemandTerm(t *task.Task) *big.Rat {
 // value: both are rat.FromBig of the same exact rational, rounded up.
 func (st *SetState) Util(m task.Crit) rat.Rat {
 	if !st.utilValid[m] {
-		st.utilVal[m] = rat.FromBig(st.utilSumFor(m), true)
+		st.utilVal[m] = rat.FromBig(st.UtilSum(m), true)
 		st.utilValid[m] = true
 	}
 	return st.utilVal[m]
@@ -364,64 +383,23 @@ func (st *SetState) Fingerprint() string {
 	return st.fp
 }
 
-// LOUtil returns the exact Σ C(LO)/T(LO), folded once in set order and
-// thereafter maintained per edit. Callers must not mutate the result.
-func (st *SetState) LOUtil() *big.Rat {
-	if st.loUtil == nil {
-		sum := new(big.Rat)
-		for i := range st.set {
-			sum.Add(sum, loUtilTerm(&st.set[i]))
-		}
-		st.loUtil = sum
-	}
-	return st.loUtil
-}
-
-// LODemandSum returns the exact Σ (T−D)·C/T over LO-mode parameters (the
-// QPA horizon numerator), maintained like LOUtil. Callers must not
-// mutate the result.
+// LODemandSum returns LODemandSum(Tasks()), folded on first use and
+// thereafter maintained per edit like UtilSum. Callers must not mutate
+// the result.
 func (st *SetState) LODemandSum() *big.Rat {
 	if st.loDemandSum == nil {
-		sum := new(big.Rat)
-		for i := range st.set {
-			sum.Add(sum, loDemandTerm(&st.set[i]))
-		}
-		st.loDemandSum = sum
+		st.loDemandSum = LODemandSum(st.set)
 	}
 	return st.loDemandSum
 }
 
-// foldSigma adds one task's Lemma-6 contribution to the maintained sum.
-func (st *SetState) foldSigma(t *task.Task) {
-	if sigma := TaskSigma(t); sigma.IsInf() {
-		st.sigmaInf++
-	} else {
-		st.sigmaSum.Add(st.sigmaSum, sigma.Big())
-	}
-}
-
-// dropSigma removes one task's Lemma-6 contribution.
-func (st *SetState) dropSigma(t *task.Task) {
-	if sigma := TaskSigma(t); sigma.IsInf() {
-		st.sigmaInf--
-	} else {
-		st.sigmaSum.Sub(st.sigmaSum, sigma.Big())
-	}
-}
-
-// SigmaSum returns the exact Lemma-6 sum Σσ_i over tasks with finite
-// σ_i, plus the count of tasks whose σ_i is infinite (the closed-form
-// speedup is +Inf whenever that count is positive). Folded once in set
-// order on first use and thereafter maintained per edit; exact rational
-// addition is order-independent and exactly invertible, so the sum always
-// equals the cold fold over Tasks(). Callers must not mutate the result.
+// SigmaSum returns SigmaSum(Tasks()), folded on first use and thereafter
+// maintained per edit like UtilSum (the closed-form speedup is +Inf
+// whenever the infinite count is positive). Callers must not mutate the
+// result.
 func (st *SetState) SigmaSum() (*big.Rat, int) {
 	if st.sigmaSum == nil {
-		st.sigmaSum = new(big.Rat)
-		st.sigmaInf = 0
-		for i := range st.set {
-			st.foldSigma(&st.set[i])
-		}
+		st.sigmaSum, st.sigmaInf = SigmaSum(st.set)
 	}
 	return st.sigmaSum, st.sigmaInf
 }

@@ -72,15 +72,9 @@ func Analyze(s task.Set) (Result, error) {
 
 	// The test arithmetic runs in big.Rat: utilization sums of large
 	// sets overflow fixed-width rationals.
-	uLoLo, uHiLo, uHiHi := new(big.Rat), new(big.Rat), new(big.Rat)
-	for i := range s {
-		if s[i].Crit == task.LO {
-			uLoLo.Add(uLoLo, s[i].Util(task.LO).Big())
-		} else {
-			uHiLo.Add(uHiLo, s[i].Util(task.LO).Big())
-			uHiHi.Add(uHiHi, s[i].Util(task.HI).Big())
-		}
-	}
+	isLO := func(t *task.Task) bool { return t.Crit == task.LO }
+	isHI := func(t *task.Task) bool { return t.Crit == task.HI }
+	uLoLo, uHiLo, uHiHi := s.UtilSum(task.LO, isLO), s.UtilSum(task.LO, isHI), s.UtilSum(task.HI, isHI)
 	r := Result{
 		ULoLo: rat.FromBig(uLoLo, true),
 		UHiLo: rat.FromBig(uHiLo, true),

@@ -68,16 +68,9 @@ func FromBig(v *big.Rat, roundUp bool) Rat {
 			num.Sub(num, big.NewInt(1))
 		}
 	}
-	if !num.IsInt64() {
-		// |v| ≥ 2^31: utilization-scale values never get here.
-		if v.Sign() > 0 {
-			panic(fmt.Errorf("rat: FromBig magnitude too large: %v", v))
-		}
+	if !num.IsInt64() || num.Int64() > math.MaxInt64/2 || num.Int64() < math.MinInt64/2 {
+		// |v| > 2^42: utilization-scale values never get here.
 		panic(fmt.Errorf("rat: FromBig magnitude too large: %v", v))
 	}
-	n := num.Int64()
-	if n > math.MaxInt64/2 || n < math.MinInt64/2 {
-		panic(fmt.Errorf("rat: FromBig magnitude too large: %v", v))
-	}
-	return New(n, roundDenom)
+	return New(num.Int64(), roundDenom)
 }

@@ -69,17 +69,19 @@ func (s Set) ByCrit(c Crit) Set {
 	return out
 }
 
-// utilBig sums C_i(m)/T_i(m) exactly in big.Rat over tasks matching the
-// filter.
-func (s Set) utilBig(m Crit, match func(*Task) bool) *big.Rat {
-	sum := new(big.Rat)
+// UtilSum returns the exact Σ C_i(m)/T_i(m) in big.Rat over the tasks
+// match accepts (every task when match is nil), skipping tasks whose
+// mode-m period is unbounded. It is the module's one exact utilization
+// fold, so a faster summation belongs here.
+func (s Set) UtilSum(m Crit, match func(*Task) bool) *big.Rat {
+	var sum, term big.Rat
 	for i := range s {
-		if !match(&s[i]) || s[i].Period[m].IsUnbounded() {
+		if (match != nil && !match(&s[i])) || s[i].Period[m].IsUnbounded() {
 			continue
 		}
-		sum.Add(sum, big.NewRat(int64(s[i].WCET[m]), int64(s[i].Period[m])))
+		sum.Add(&sum, term.SetFrac64(int64(s[i].WCET[m]), int64(s[i].Period[m])))
 	}
-	return sum
+	return &sum
 }
 
 // Util returns the total utilization Σ_i C_i(m)/T_i(m) of all tasks in
@@ -89,7 +91,7 @@ func (s Set) utilBig(m Crit, match func(*Task) bool) *big.Rat {
 // at most 2^-20, so it remains a sound upper bound — use UtilBounds when
 // both directions matter.
 func (s Set) Util(m Crit) rat.Rat {
-	return rat.FromBig(s.utilBig(m, func(*Task) bool { return true }), true)
+	return rat.FromBig(s.UtilSum(m, nil), true)
 }
 
 // UtilBounds returns exact-or-directed-rounded lower and upper bounds on
@@ -102,26 +104,20 @@ func (s Set) Util(m Crit) rat.Rat {
 // path run and directed rounding apply.
 func (s Set) UtilBounds(m Crit) (lo, hi rat.Rat) {
 	sum := rat.Zero
-	exact := true
 	for i := range s {
 		if s[i].Period[m].IsUnbounded() {
 			continue
 		}
 		var ok bool
-		sum, ok = sum.AddChecked(rat.New(int64(s[i].WCET[m]), int64(s[i].Period[m])))
-		if !ok {
-			exact = false
-			break
+		if sum, ok = sum.AddChecked(rat.New(int64(s[i].WCET[m]), int64(s[i].Period[m]))); !ok {
+			exact := s.UtilSum(m, nil)
+			return rat.FromBig(exact, false), rat.FromBig(exact, true)
 		}
 	}
-	if exact {
-		// Same directed rounding FromBig applies, so the fast path is
-		// bit-identical to the big.Rat path while keeping the bounds'
-		// denominators small enough for downstream exact arithmetic.
-		return sum.Round(false), sum.Round(true)
-	}
-	big := s.utilBig(m, func(*Task) bool { return true })
-	return rat.FromBig(big, false), rat.FromBig(big, true)
+	// Same directed rounding FromBig applies, so the fast path is
+	// bit-identical to the big.Rat path while keeping the bounds'
+	// denominators small enough for downstream exact arithmetic.
+	return sum.Round(false), sum.Round(true)
 }
 
 // UtilCrit returns U_χ(m) = Σ_{χ_i = c} C_i(m)/T_i(m): the mode-m
@@ -129,7 +125,7 @@ func (s Set) UtilBounds(m Crit) (lo, hi rat.Rat) {
 // paper's Figs. 6–7. Like Util it is exact when representable and
 // otherwise rounded up by at most 2^-20.
 func (s Set) UtilCrit(c Crit, m Crit) rat.Rat {
-	return rat.FromBig(s.utilBig(m, func(t *Task) bool { return t.Crit == c }), true)
+	return rat.FromBig(s.UtilSum(m, func(t *Task) bool { return t.Crit == c }), true)
 }
 
 // TotalCHI returns Σ_i C_i(HI), the numerator of the closed-form

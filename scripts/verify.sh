@@ -59,10 +59,11 @@ go test -fuzz FuzzDeltaEquivalence -fuzztime 10s -run '^$' ./internal/core/
 # workloads, and configs.
 go test -fuzz FuzzSimEquivalence -fuzztime 10s -run '^$' ./internal/sim/
 
-# Bench smoke: every core and sim benchmark must still compile and
-# complete one iteration (allocation regressions are pinned by the
-# zero-allocation tests; this guards the benchmarks themselves).
-go test -bench=. -benchtime=1x -run='^$' ./internal/core/... ./internal/sim/
+# Bench smoke: every root, core and sim benchmark must still compile and
+# complete one iteration, so their b.Fatal checks run (allocation
+# regressions are pinned by the zero-allocation tests; this guards the
+# benchmarks themselves).
+go test -bench=. -benchtime=1x -run='^$' . ./internal/core/... ./internal/sim/
 
 # --- mcs-serve smoke test -------------------------------------------------
 tmp=$(mktemp -d)
