@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"mcspeedup"
+	"mcspeedup/internal/examplesets"
 )
 
 func BenchmarkTable1(b *testing.B) {
@@ -138,6 +139,31 @@ func BenchmarkTuneDeadlines(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mcspeedup.TuneDeadlines(set, mcspeedup.RatZero); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// coprimeSet is the large-n set of the AnalyzeColdCoprime1000 row, the
+// same one cmd/mcs-bench measures under that name: 1000 tasks with
+// distinct prime periods at U(LO) ≈ 0.9, minimally prepared.
+func coprimeSet(b *testing.B) mcspeedup.Set {
+	b.Helper()
+	_, prepared, err := mcspeedup.MinimalX(examplesets.Coprime(1000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return prepared
+}
+
+// BenchmarkAnalyzeColdCoprime1000 is a full cold Analyze whose cost is
+// the exact sums: their denominators are products of 1000 primes.
+func BenchmarkAnalyzeColdCoprime1000(b *testing.B) {
+	set := coprimeSet(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mcspeedup.AnalyzeSet(set, mcspeedup.RatTwo); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -56,6 +56,7 @@ import (
 	"time"
 
 	"mcspeedup"
+	"mcspeedup/internal/examplesets"
 	"mcspeedup/internal/lint"
 	"mcspeedup/internal/lint/suite"
 )
@@ -388,6 +389,17 @@ func genPrepared(seed int64, uBound float64) mcspeedup.Set {
 	}
 }
 
+// coprimePrepared is the large-n set of AnalyzeColdCoprime1000: 1000
+// tasks with distinct prime periods in [1000, 100000] at U(LO) ≈ 0.9,
+// minimally prepared — the same set the root benchmark of that name runs.
+func coprimePrepared() mcspeedup.Set {
+	_, prepared, err := mcspeedup.MinimalX(examplesets.Coprime(1000))
+	if err != nil {
+		log.Fatal(err)
+	}
+	return prepared
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mcs-bench: ")
@@ -406,6 +418,7 @@ func main() {
 
 	fms := fmsPrepared()
 	synth := genPrepared(77, 0.7)
+	coprime := coprimePrepared()
 	scratch := new(mcspeedup.AnalysisScratch)
 	withScratch := mcspeedup.AnalysisOptions{Scratch: scratch}
 
@@ -468,6 +481,11 @@ func main() {
 		}),
 		measure("AnalyzeColdFMS", func() {
 			if _, err := mcspeedup.AnalyzeSet(fms, mcspeedup.RatTwo); err != nil {
+				log.Fatal(err)
+			}
+		}),
+		measure("AnalyzeColdCoprime1000", func() {
+			if _, err := mcspeedup.AnalyzeSet(coprime, mcspeedup.RatTwo); err != nil {
 				log.Fatal(err)
 			}
 		}),

@@ -227,8 +227,12 @@ func TestSessionReportLifecycle(t *testing.T) {
 // aggregate against a freshly constructed state over a clone of the same
 // set — the "cache equals cold recomputation" contract noteChange's
 // invalidation map must uphold for every parameter class.
+//
+// The corpus ends with a 320-task set of distinct prime periods, whose
+// exact sums carry denominators of thousands of bits: there the
+// per-edit big.Rat updates are compared with rat.TreeSum folds at scale.
 func TestSetStateAggregatesMatchCold(t *testing.T) {
-	for si, s := range deltaSets(t) {
+	for si, s := range append(deltaSets(t), coprimeStateSet(t, 320)) {
 		st, err := dbf.NewSetState(s)
 		if err != nil {
 			t.Fatal(err)
@@ -295,6 +299,45 @@ func TestSetStateAggregatesMatchCold(t *testing.T) {
 			t.Fatalf("set %d: only %d edits applied", si, applied)
 		}
 	}
+}
+
+// coprimeStateSet builds n tasks whose periods are the first n primes
+// above 1000: alternately HI tasks with constrained deadlines, and LO
+// tasks degraded (T(HI) = 2T) or terminated in HI mode, so every exact
+// sum — Σ C/T per mode, Σ(T−D)·C/T and Σσ — has a pairwise-coprime
+// denominator structure and non-zero terms.
+func coprimeStateSet(t *testing.T, n int) task.Set {
+	t.Helper()
+	s := make(task.Set, 0, n)
+	for p := task.Time(1001); len(s) < n; p += 2 {
+		prime := true
+		for d := task.Time(3); d*d <= p; d += 2 {
+			if p%d == 0 {
+				prime = false
+				break
+			}
+		}
+		if !prime {
+			continue
+		}
+		i := task.Time(len(s))
+		name := fmt.Sprintf("p%03d", i)
+		c := 1 + i%3
+		switch i % 4 {
+		case 0, 2:
+			s = append(s, task.NewHI(name, p, p-1-i, p-i/2, c, 2*c))
+		case 1:
+			tk := task.NewLO(name, p, p-i, c)
+			tk.Period[task.HI], tk.Deadline[task.HI] = 2*p, 2*p
+			s = append(s, tk)
+		case 3:
+			s = append(s, task.NewLO(name, p, p-i, c))
+		}
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // TestMinSpeedForResetWarmWitnessInvariance pins the warm-seed soundness

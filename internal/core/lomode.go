@@ -9,18 +9,6 @@ import (
 	"mcspeedup/internal/task"
 )
 
-// ceilBig returns ⌈v⌉ for v ≥ 0, with ok=false when it exceeds int64.
-func ceilBig(v *big.Rat) (ceil int64, ok bool) {
-	q := new(big.Int).Quo(v.Num(), v.Denom())
-	if v.Num().Sign() > 0 && new(big.Int).Mul(q, v.Denom()).Cmp(v.Num()) != 0 {
-		q.Add(q, big.NewInt(1))
-	}
-	if !q.IsInt64() {
-		return 0, false
-	}
-	return q.Int64(), true
-}
-
 // SchedulableLO reports whether the task set is EDF-schedulable in LO mode
 // at unit speed, i.e. whether Σ_i DBF_LO(τ_i, Δ) ≤ Δ for every Δ ≥ 0
 // (the processor demand criterion over the LO-mode parameters, with HI

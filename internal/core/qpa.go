@@ -116,11 +116,22 @@ func demandWalkLO(s task.Set, limit int64) bool {
 // exceeds int64. Precondition: U < 1. Neither big.Rat argument is
 // mutated (state callers retain theirs).
 func loHorizonFrom(s task.Set, sum, u *big.Rat) (limit int64, ok bool) {
-	one := big.NewRat(1, 1)
-	horizon := new(big.Rat).Quo(sum, new(big.Rat).Sub(one, u))
-	if limit, ok = ceilBig(horizon); !ok {
+	// With sum = a/b and u = c/d the horizon is ⌈a·d / (b·(d−c))⌉,
+	// taken in integers: normalizing the quotient as a big.Rat would
+	// cost a GCD, and at large n b and d have thousands of bits. The
+	// remainder takes the dividend's sign, so a positive one means the
+	// truncated quotient lies below the exact one.
+	var num, den, q, r big.Int
+	num.Mul(sum.Num(), u.Denom())
+	den.Mul(sum.Denom(), r.Sub(u.Denom(), u.Num()))
+	q.QuoRem(&num, &den, &r)
+	if r.Sign() > 0 {
+		q.Add(&q, big.NewInt(1))
+	}
+	if !q.IsInt64() {
 		return 0, false
 	}
+	limit = q.Int64()
 	var maxD task.Time
 	for i := range s {
 		if d := s[i].Deadline[task.LO]; d > maxD {

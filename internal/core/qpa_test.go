@@ -21,6 +21,51 @@ func qpaLimit(s task.Set) (int64, bool) {
 	return loHorizonFrom(s, dbf.LODemandSum(s), u)
 }
 
+// TestLOHorizonMatchesRationalCeil pins loHorizonFrom's integer ceiling
+// to its definition: max(max D(LO), ⌈Σ(T−D)·C/T / (1−U)⌉) with the
+// quotient formed as a normalized big.Rat. The sets are random small
+// ones and the 320-task prime-period set, whose sums have thousands of
+// bits.
+func TestLOHorizonMatchesRationalCeil(t *testing.T) {
+	reference := func(s task.Set, sum, u *big.Rat) (int64, bool) {
+		h := new(big.Rat).Quo(sum, new(big.Rat).Sub(big.NewRat(1, 1), u))
+		q := new(big.Int).Quo(h.Num(), h.Denom())
+		if h.Sign() > 0 && !h.IsInt() {
+			q.Add(q, big.NewInt(1))
+		}
+		if !q.IsInt64() {
+			return 0, false
+		}
+		limit := q.Int64()
+		for i := range s {
+			limit = max(limit, int64(s[i].Deadline[task.LO]))
+		}
+		return limit, true
+	}
+	rnd := rand.New(rand.NewSource(602))
+	sets := []task.Set{coprimeStateSet(t, 320)}
+	for i := 0; i < 500; i++ {
+		sets = append(sets, randomSet(rnd, 1+rnd.Intn(8), 1000))
+	}
+	checked := 0
+	for _, s := range sets {
+		u := s.UtilSum(task.LO, nil)
+		if u.Cmp(big.NewRat(1, 1)) >= 0 {
+			continue
+		}
+		sum := dbf.LODemandSum(s)
+		got, gotOK := loHorizonFrom(s, sum, u)
+		want, wantOK := reference(s, sum, u)
+		if got != want || gotOK != wantOK {
+			t.Fatalf("loHorizonFrom = %d, %v; reference %d, %v for:\n%s", got, gotOK, want, wantOK, s.Table())
+		}
+		checked++
+	}
+	if checked < 100 {
+		t.Fatalf("only %d sets with U(LO) < 1", checked)
+	}
+}
+
 // TestQPAAgainstDemandWalk: the QPA iteration and the full testing-point
 // walk must agree on every random set with U < 1.
 func TestQPAAgainstDemandWalk(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 
 	"mcspeedup/internal/examplesets"
 	"mcspeedup/internal/rat"
+	"mcspeedup/internal/task"
 )
 
 func TestReportMarshalIndent(t *testing.T) {
@@ -66,5 +67,37 @@ func TestReportMarshalIndentDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Errorf("report JSON not deterministic:\n%s\n---\n%s", a, b)
+	}
+}
+
+// TestReportMarshalIndentMatchesEncodingJSON pins the reused encoder's
+// output to json.MarshalIndent's bytes, on names that need HTML and
+// Unicode escaping and on a large coprime set, and checks that a
+// returned slice does not alias the encoder's buffers.
+func TestReportMarshalIndentMatchesEncodingJSON(t *testing.T) {
+	escaped := examplesets.TableI()
+	for i, name := range []string{"<a&b> é", "q\"\\ \u2028"} {
+		escaped[i].Name = name
+	}
+	for _, set := range []task.Set{examplesets.TableI(), escaped, examplesets.Coprime(300)} {
+		r, err := Analyze(set, rat.Two)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.MarshalIndent(r.export(), "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.MarshalIndent()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: MarshalIndent differs from json.MarshalIndent:\n%s\n---\n%s", len(set), got, want)
+		}
+		got[0] = 'x'
+		if again, _ := r.MarshalIndent(); !bytes.Equal(again, want) {
+			t.Fatalf("n=%d: a returned report aliases the encoder's buffers", len(set))
+		}
 	}
 }

@@ -87,34 +87,17 @@ func (h *eventHeap) append(t task.Time, taskIdx int) {
 // acting, and its per-task updates commute, so walk results do not depend
 // on the construction method.
 func (h *eventHeap) heapify() {
-	n := len(h.times)
-	for i := n/2 - 1; i >= 0; i-- {
-		for {
-			l, r := 2*i+1, 2*i+2
-			smallest := i
-			if l < n && h.times[l] < h.times[smallest] {
-				smallest = l
-			}
-			if r < n && h.times[r] < h.times[smallest] {
-				smallest = r
-			}
-			if smallest == i {
-				break
-			}
-			h.times[i], h.times[smallest] = h.times[smallest], h.times[i]
-			h.tasks[i], h.tasks[smallest] = h.tasks[smallest], h.tasks[i]
-			i = smallest
-		}
+	for i := len(h.times)/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
 }
 
-// pop removes and returns the minimum entry.
-func (h *eventHeap) pop() (task.Time, int) {
-	t, taskIdx := h.times[0], h.tasks[0]
-	n := len(h.times) - 1
-	h.times[0], h.tasks[0] = h.times[n], h.tasks[n]
-	h.times, h.tasks = h.times[:n], h.tasks[:n]
-	i := 0
+// down sifts entry i down to its place below i. It moves its own
+// cursor: heapify's loop index must not follow the sifted entry, or the
+// build restarts from deep in the heap after every sift and costs
+// O(n²) instead of O(n).
+func (h *eventHeap) down(i int) {
+	n := len(h.times)
 	for {
 		l, r := 2*i+1, 2*i+2
 		smallest := i
@@ -125,12 +108,21 @@ func (h *eventHeap) pop() (task.Time, int) {
 			smallest = r
 		}
 		if smallest == i {
-			break
+			return
 		}
 		h.times[i], h.times[smallest] = h.times[smallest], h.times[i]
 		h.tasks[i], h.tasks[smallest] = h.tasks[smallest], h.tasks[i]
 		i = smallest
 	}
+}
+
+// pop removes and returns the minimum entry.
+func (h *eventHeap) pop() (task.Time, int) {
+	t, taskIdx := h.times[0], h.tasks[0]
+	n := len(h.times) - 1
+	h.times[0], h.tasks[0] = h.times[n], h.tasks[n]
+	h.times, h.tasks = h.times[:n], h.tasks[:n]
+	h.down(0)
 	return t, taskIdx
 }
 

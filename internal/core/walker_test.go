@@ -204,3 +204,39 @@ func BenchmarkWalkerVsDirect(b *testing.B) {
 		}
 	})
 }
+
+// TestEventHeapHeapify checks the batch build behind Reset and SkipTo:
+// after appends and one heapify every parent is at most its children,
+// and popping returns every entry once, in nondecreasing time order.
+func TestEventHeapHeapify(t *testing.T) {
+	rnd := rand.New(rand.NewSource(3))
+	var h eventHeap
+	for n := 0; n <= 70; n++ {
+		h.reset(n)
+		count := make(map[[2]int64]int)
+		for i := 0; i < n; i++ {
+			at := task.Time(rnd.Intn(n/2 + 1))
+			h.append(at, i)
+			count[[2]int64{int64(at), int64(i)}]++
+		}
+		h.heapify()
+		for i := 1; i < h.Len(); i++ {
+			if p := (i - 1) / 2; h.times[p] > h.times[i] {
+				t.Fatalf("n=%d: parent %d (%d) above child %d (%d)", n, p, h.times[p], i, h.times[i])
+			}
+		}
+		last := task.Time(-1)
+		for h.Len() > 0 {
+			at, i := h.pop()
+			if at < last {
+				t.Fatalf("n=%d: popped %d after %d", n, at, last)
+			}
+			last = at
+			key := [2]int64{int64(at), int64(i)}
+			if count[key] == 0 {
+				t.Fatalf("n=%d: popped (%d, %d), which was not pushed or was popped twice", n, at, i)
+			}
+			count[key]--
+		}
+	}
+}

@@ -192,7 +192,7 @@ func (st *SetState) noteChange(tc task.Touched) {
 		}
 		st.utilValid[task.HI] = false
 		st.boundsValid[task.HI] = false
-		shift(st.utilSum[task.HI], tc, func(z *big.Rat, t task.Task) *big.Rat { return utilTerm(z, t, task.HI) })
+		shift(st.utilSum[task.HI], tc, func(t task.Task) (num, den, mul int64, ok bool) { return t.UtilLeaf(task.HI) })
 	}
 
 	if tc.THI || tc.Removed {
@@ -216,12 +216,12 @@ func (st *SetState) noteChange(tc task.Touched) {
 	if loTouched {
 		st.utilValid[task.LO] = false
 		st.boundsValid[task.LO] = false
-		shift(st.utilSum[task.LO], tc, func(z *big.Rat, t task.Task) *big.Rat { return utilTerm(z, t, task.LO) })
+		shift(st.utilSum[task.LO], tc, func(t task.Task) (num, den, mul int64, ok bool) { return t.UtilLeaf(task.LO) })
 	}
 	if st.sigmaSum != nil && (hiTouched || tc.CLO || tc.DLO || tc.DHI) {
 		// σ_i reads every parameter except T(LO); move the task's
 		// before and after contributions like the other exact sums.
-		shift(st.sigmaSum, tc, sigmaTerm)
+		shift(st.sigmaSum, tc, sigmaLeaf)
 		if !tc.Added && TaskSigma(&tc.Old).IsInf() {
 			st.sigmaInf--
 		}
@@ -231,43 +231,45 @@ func (st *SetState) noteChange(tc task.Touched) {
 	}
 
 	if loTouched || tc.DLO {
-		shift(st.loDemandSum, tc, loDemandTerm)
+		shift(st.loDemandSum, tc, loDemandLeaf)
 		st.loSchedValid = false
 	}
 }
 
 // shift moves one edit's before/after contributions through a maintained
-// exact sum, if it has been built. term sets z to one task's term and
-// returns it, or returns nil for a task that contributes nothing the sum
-// can hold.
+// exact sum, if it has been built: one big.Rat sub and add per edit.
+// leaf gives one task's term in rat.TreeSum's leaf form — the same
+// function the sum's cold fold uses — or ok = false for a task that
+// contributes nothing the sum can hold.
 //
-// term takes the task by value: a pointer into tc would make every
+// leaf takes the task by value: a pointer into tc would make every
 // edit's Touched escape to the heap through the unknown callee.
-func shift(sum *big.Rat, tc task.Touched, term func(z *big.Rat, t task.Task) *big.Rat) {
+func shift(sum *big.Rat, tc task.Touched, leaf func(t task.Task) (num, den, mul int64, ok bool)) {
 	if sum == nil {
 		return
 	}
-	z := new(big.Rat)
+	var z, w big.Rat
+	term := func(t task.Task) *big.Rat {
+		num, den, mul, ok := leaf(t)
+		if !ok {
+			return nil
+		}
+		z.SetFrac64(num, den)
+		if mul != 1 {
+			z.Mul(&z, w.SetInt64(mul))
+		}
+		return &z
+	}
 	if !tc.Added {
-		if v := term(z, tc.Old); v != nil {
+		if v := term(tc.Old); v != nil {
 			sum.Sub(sum, v)
 		}
 	}
 	if !tc.Removed {
-		if v := term(z, tc.New); v != nil {
+		if v := term(tc.New); v != nil {
 			sum.Add(sum, v)
 		}
 	}
-}
-
-// utilTerm sets z to one task's C(m)/T(m) contribution to the mode-m
-// utilization, or returns nil when T(m) is unbounded (terminated tasks
-// contribute zero in HI mode, exactly as task.Set.UtilSum skips them).
-func utilTerm(z *big.Rat, t task.Task, m task.Crit) *big.Rat {
-	if t.Period[m].IsUnbounded() {
-		return nil
-	}
-	return z.SetFrac64(int64(t.WCET[m]), int64(t.Period[m]))
 }
 
 // UtilSum returns the exact mode-m utilization sum Tasks().UtilSum(m,
@@ -282,48 +284,42 @@ func (st *SetState) UtilSum(m task.Crit) *big.Rat {
 	return st.utilSum[m]
 }
 
-// loDemandTerm sets z to one task's (T−D)·C/T contribution to the QPA
-// horizon numerator.
-func loDemandTerm(z *big.Rat, t task.Task) *big.Rat {
-	ti, di := t.Period[task.LO], t.Deadline[task.LO]
-	var gap big.Rat
-	return z.Mul(z.SetFrac64(int64(t.WCET[task.LO]), int64(ti)), gap.SetInt64(int64(ti-di)))
+// loDemandLeaf is one task's (T−D)·C/T contribution to the QPA horizon
+// numerator, over its LO-mode parameters.
+func loDemandLeaf(t task.Task) (num, den, mul int64, ok bool) {
+	ti := t.Period[task.LO]
+	return int64(t.WCET[task.LO]), int64(ti), int64(ti - t.Deadline[task.LO]), true
 }
 
 // LODemandSum returns the exact QPA horizon numerator
-// Σ_i (T_i−D_i)·C_i/T_i over the LO-mode parameters: the one cold fold
-// of loDemandTerm, which SetState maintains incrementally.
+// Σ_i (T_i−D_i)·C_i/T_i over the LO-mode parameters: the rat.TreeSum of
+// loDemandLeaf, which SetState maintains incrementally.
 func LODemandSum(s task.Set) *big.Rat {
-	var sum, z big.Rat
-	for i := range s {
-		sum.Add(&sum, loDemandTerm(&z, s[i]))
-	}
-	return &sum
+	return rat.TreeSum(len(s), func(i int) (num, den, mul int64, ok bool) { return loDemandLeaf(s[i]) })
 }
 
-// sigmaTerm sets z to one task's σ_i (TaskSigma), or returns nil when
-// σ_i is infinite.
-func sigmaTerm(z *big.Rat, t task.Task) *big.Rat {
-	if sigma := TaskSigma(&t); !sigma.IsInf() {
-		return z.SetFrac64(sigma.Num(), sigma.Den())
+// sigmaLeaf is one task's σ_i (TaskSigma), or ok = false when σ_i is
+// infinite.
+func sigmaLeaf(t task.Task) (num, den, mul int64, ok bool) {
+	sigma := TaskSigma(&t)
+	if sigma.IsInf() {
+		return 0, 0, 0, false
 	}
-	return nil
+	return sigma.Num(), sigma.Den(), 1, true
 }
 
 // SigmaSum returns the exact Lemma-6 sum Σσ_i over the tasks with finite
 // σ_i, plus the count of tasks whose σ_i is infinite (which big.Rat
-// cannot hold): the one cold fold of sigmaTerm, which SetState maintains
+// cannot hold): the rat.TreeSum of sigmaLeaf, which SetState maintains
 // incrementally.
 func SigmaSum(s task.Set) (sum *big.Rat, inf int) {
-	sum = new(big.Rat)
-	var z big.Rat
-	for i := range s {
-		if v := sigmaTerm(&z, s[i]); v != nil {
-			sum.Add(sum, v)
-		} else {
+	sum = rat.TreeSum(len(s), func(i int) (num, den, mul int64, ok bool) {
+		num, den, mul, ok = sigmaLeaf(s[i])
+		if !ok {
 			inf++
 		}
-	}
+		return num, den, mul, ok
+	})
 	return sum, inf
 }
 

@@ -20,7 +20,10 @@ func (r Rat) Big() *big.Rat {
 // (which use FromBig only for utilization *bounds*, never for exact
 // demand ratios). The cap also leaves ample headroom for the downstream
 // products the analysis walks form with event positions.
-const roundDenom = int64(1) << 20
+const (
+	roundShift = 20
+	roundDenom = int64(1) << roundShift
+)
 
 // Round rounds r onto the same 2^-20 grid FromBig uses — upward when up
 // is true, downward otherwise — returning r unchanged when its reduced
@@ -56,16 +59,18 @@ func FromBig(v *big.Rat, roundUp bool) Rat {
 	if v.Num().IsInt64() && v.Denom().IsInt64() && v.Denom().Int64() <= roundDenom {
 		return New(v.Num().Int64(), v.Denom().Int64())
 	}
-	scaled := new(big.Rat).Mul(v, big.NewRat(roundDenom, 1))
-	num := new(big.Int).Quo(scaled.Num(), scaled.Denom()) // truncates toward zero
+	// Truncate v·2^20 toward zero as num/den integers: normalizing the
+	// product as a big.Rat would cost a GCD, and at large n v's
+	// denominator has thousands of bits.
+	var scaled, num, rem big.Int
+	num.QuoRem(scaled.Lsh(v.Num(), roundShift), v.Denom(), &rem)
 	// Fix truncation into directed rounding.
-	exact := new(big.Int).Mul(num, scaled.Denom())
-	if exact.Cmp(scaled.Num()) != 0 {
+	if rem.Sign() != 0 {
 		if roundUp && v.Sign() > 0 {
-			num.Add(num, big.NewInt(1))
+			num.Add(&num, big.NewInt(1))
 		}
 		if !roundUp && v.Sign() < 0 {
-			num.Sub(num, big.NewInt(1))
+			num.Sub(&num, big.NewInt(1))
 		}
 	}
 	if !num.IsInt64() || num.Int64() > math.MaxInt64/2 || num.Int64() < math.MinInt64/2 {

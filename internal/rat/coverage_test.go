@@ -3,6 +3,7 @@ package rat
 import (
 	"math"
 	"math/big"
+	"math/rand"
 	"testing"
 )
 
@@ -117,6 +118,45 @@ func TestFromBigDirectedRounding(t *testing.T) {
 	}()
 	huge := new(big.Rat).SetInt(new(big.Int).Lsh(big.NewInt(1), 80))
 	FromBig(huge, true)
+}
+
+// TestFromBigMatchesNormalizedProduct pins FromBig's integer quotient to
+// the definition it replaced: v·2^20 normalized as a big.Rat, truncated
+// toward zero, then moved one step in the rounding direction when
+// inexact. The values are random sums with huge coprime denominators,
+// of both signs, plus exact multiples of 2^-20.
+func TestFromBigMatchesNormalizedProduct(t *testing.T) {
+	reference := func(v *big.Rat, up bool) Rat {
+		if v.Num().IsInt64() && v.Denom().IsInt64() && v.Denom().Int64() <= roundDenom {
+			return New(v.Num().Int64(), v.Denom().Int64())
+		}
+		scaled := new(big.Rat).Mul(v, big.NewRat(roundDenom, 1))
+		num := new(big.Int).Quo(scaled.Num(), scaled.Denom())
+		if new(big.Int).Mul(num, scaled.Denom()).Cmp(scaled.Num()) != 0 {
+			if up && v.Sign() > 0 {
+				num.Add(num, big.NewInt(1))
+			}
+			if !up && v.Sign() < 0 {
+				num.Sub(num, big.NewInt(1))
+			}
+		}
+		return New(num.Int64(), roundDenom)
+	}
+	rnd := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		v := new(big.Rat)
+		for i := 0; i < 1+trial%40; i++ {
+			v.Add(v, big.NewRat(rnd.Int63n(2000)-1000, 1000+rnd.Int63n(100000)))
+		}
+		if trial%7 == 0 {
+			v.SetFrac64(rnd.Int63n(1<<30)-1<<29, roundDenom)
+		}
+		for _, up := range []bool{true, false} {
+			if got, want := FromBig(v, up), reference(v, up); !got.Eq(want) {
+				t.Fatalf("FromBig(%v, %v) = %v, reference %v", v, up, got, want)
+			}
+		}
+	}
 }
 
 func TestCheckedNegOverflow(t *testing.T) {

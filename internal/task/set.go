@@ -72,23 +72,23 @@ func (s Set) ByCrit(c Crit) Set {
 // UtilSum returns the exact Σ C_i(m)/T_i(m) in big.Rat over the tasks
 // match accepts (every task when match is nil), skipping tasks whose
 // mode-m period is unbounded. It is the module's one exact utilization
-// fold, so a faster summation belongs here.
+// fold, a rat.TreeSum: over n pairwise coprime periods it costs a
+// balanced tree of big multiplications and one GCD, not n GCDs.
 func (s Set) UtilSum(m Crit, match func(*Task) bool) *big.Rat {
-	var sum, term big.Rat
-	for i := range s {
-		if (match != nil && !match(&s[i])) || s[i].Period[m].IsUnbounded() {
-			continue
+	return rat.TreeSum(len(s), func(i int) (num, den, mul int64, ok bool) {
+		if match != nil && !match(&s[i]) {
+			return 0, 0, 0, false
 		}
-		sum.Add(&sum, term.SetFrac64(int64(s[i].WCET[m]), int64(s[i].Period[m])))
-	}
-	return &sum
+		return s[i].UtilLeaf(m)
+	})
 }
 
 // Util returns the total utilization Σ_i C_i(m)/T_i(m) of all tasks in
 // mode m. Terminated tasks contribute zero in HI mode. The value is exact
-// whenever the reduced fraction fits int64/int64 (always the case for
-// small sets); for many tasks with coprime periods it is rounded *up* by
-// at most 2^-20, so it remains a sound upper bound — use UtilBounds when
+// whenever the reduced denominator of the exact sum is at most 2^20, as
+// with harmonic periods; otherwise — two coprime periods near 1000
+// already exceed it — it is rounded *up* onto the 2^-20 grid of
+// rat.FromBig, so it remains a sound upper bound. Use UtilBounds when
 // both directions matter.
 func (s Set) Util(m Crit) rat.Rat {
 	return rat.FromBig(s.UtilSum(m, nil), true)

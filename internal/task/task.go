@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"mcspeedup/internal/rat"
@@ -44,7 +45,7 @@ func (t Time) MarshalJSON() ([]byte, error) {
 	if t.IsUnbounded() {
 		return []byte(`"inf"`), nil
 	}
-	return json.Marshal(int64(t))
+	return strconv.AppendInt(make([]byte, 0, 20), int64(t), 10), nil
 }
 
 // UnmarshalJSON accepts either a non-negative integer or the string
@@ -53,6 +54,10 @@ func (t Time) MarshalJSON() ([]byte, error) {
 // deferred to Validate, so that every decoded Time is well-defined for
 // content addressing (Set.Fingerprint).
 func (t *Time) UnmarshalJSON(b []byte) error {
+	if v, ok := parseTicks(b); ok {
+		*t = v
+		return nil
+	}
 	s := strings.TrimSpace(string(b))
 	if s == `"inf"` || s == `"Inf"` || s == `"+Inf"` {
 		*t = Unbounded
@@ -67,6 +72,28 @@ func (t *Time) UnmarshalJSON(b []byte) error {
 	}
 	*t = Time(v)
 	return nil
+}
+
+// parseTicks decodes the two forms a Time takes in the documents this
+// package writes — a decimal integer without leading zeros of at most
+// 18 digits (so it cannot overflow int64) and the string "inf" — without
+// allocating: a set is six Times per task, and the general path costs a
+// nested json.Unmarshal each. ok = false hands every other input, valid
+// or not, to the general path, which owns the error messages.
+func parseTicks(b []byte) (t Time, ok bool) {
+	if string(b) == `"inf"` {
+		return Unbounded, true
+	}
+	if len(b) == 0 || len(b) > 18 || (b[0] == '0' && len(b) > 1) {
+		return 0, false
+	}
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		t = 10*t + Time(c-'0')
+	}
+	return t, true
 }
 
 // Crit is a criticality level. The same two-valued domain also identifies
@@ -93,10 +120,27 @@ func (c Crit) String() string {
 }
 
 // MarshalJSON encodes the level as "LO"/"HI".
-func (c Crit) MarshalJSON() ([]byte, error) { return json.Marshal(c.String()) }
+func (c Crit) MarshalJSON() ([]byte, error) {
+	switch c {
+	case LO:
+		return []byte(`"LO"`), nil
+	case HI:
+		return []byte(`"HI"`), nil
+	}
+	return json.Marshal(c.String())
+}
 
-// UnmarshalJSON accepts "LO"/"HI" (case-insensitive).
+// UnmarshalJSON accepts "LO"/"HI" (case-insensitive). The canonical
+// spellings are matched on the raw bytes, without decoding a string.
 func (c *Crit) UnmarshalJSON(b []byte) error {
+	switch string(b) {
+	case `"LO"`:
+		*c = LO
+		return nil
+	case `"HI"`:
+		*c = HI
+		return nil
+	}
 	var s string
 	if err := json.Unmarshal(b, &s); err != nil {
 		return err
@@ -150,6 +194,17 @@ func (t *Task) Util(m Crit) rat.Rat {
 		return rat.Zero
 	}
 	return rat.New(int64(t.WCET[m]), int64(t.Period[m]))
+}
+
+// UtilLeaf returns U_i(m) as a rat.TreeSum leaf, C_i(m)/T_i(m) with
+// multiplier 1, or ok = false when T_i(m) is unbounded: the one term
+// definition behind Set.UtilSum and dbf.SetState's per-edit updates of
+// that sum.
+func (t *Task) UtilLeaf(m Crit) (num, den, mul int64, ok bool) {
+	if t.Period[m].IsUnbounded() {
+		return 0, 0, 0, false
+	}
+	return int64(t.WCET[m]), int64(t.Period[m]), 1, true
 }
 
 // Gamma returns γ_i = C_i(HI)/C_i(LO), the WCET uncertainty factor used in

@@ -229,6 +229,44 @@ func TestTimeJSON(t *testing.T) {
 	}
 }
 
+// TestParseTicksMatchesGeneralPath pins Time's allocation-free decoding
+// to the general path: parseTicks may only accept an input the nested
+// json.Unmarshal decodes to the same value, and it must accept the forms
+// MarshalJSON writes.
+func TestParseTicksMatchesGeneralPath(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		fast bool
+	}{
+		{"0", true}, {"7", true}, {"42", true}, {"123456789012345678", true}, {`"inf"`, true},
+		{"1234567890123456789", false}, {"9223372036854775807", false}, {"99999999999999999999", false},
+		{"007", false}, {"-1", false}, {"-0", false}, {"1.5", false}, {"1e3", false}, {" 42", false},
+		{`"Inf"`, false}, {`"+Inf"`, false}, {`"42"`, false}, {"", false}, {"null", false}, {"4 2", false},
+	} {
+		got, ok := parseTicks([]byte(tc.in))
+		if ok != tc.fast {
+			t.Errorf("parseTicks(%q) ok = %v, want %v", tc.in, ok, tc.fast)
+		}
+		if !ok {
+			continue
+		}
+		want := Unbounded
+		if tc.in != `"inf"` {
+			var v int64
+			if err := json.Unmarshal([]byte(tc.in), &v); err != nil {
+				t.Fatalf("json.Unmarshal(%q): %v", tc.in, err)
+			}
+			want = Time(v)
+		}
+		if got != want {
+			t.Errorf("parseTicks(%q) = %d, want %d", tc.in, got, want)
+		}
+		if out, err := got.MarshalJSON(); err != nil || string(out) != tc.in {
+			t.Errorf("MarshalJSON(%d) = %s, %v; want %s", got, out, err, tc.in)
+		}
+	}
+}
+
 func TestCritJSONAndString(t *testing.T) {
 	var c Crit
 	if err := json.Unmarshal([]byte(`"hi"`), &c); err != nil || c != HI {
@@ -236,6 +274,13 @@ func TestCritJSONAndString(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(`"nope"`), &c); err == nil {
 		t.Error("bad Crit accepted")
+	}
+	for _, c := range []Crit{LO, HI, Crit(9)} {
+		fast, err := c.MarshalJSON()
+		want, _ := json.Marshal(c.String())
+		if err != nil || string(fast) != string(want) {
+			t.Errorf("MarshalJSON(%v) = %s, %v; want %s", c, fast, err, want)
+		}
 	}
 	if LO.String() != "LO" || HI.String() != "HI" {
 		t.Error("Crit.String broken")

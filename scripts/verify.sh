@@ -36,12 +36,14 @@ vetcache=$(mktemp -d)
 rm -rf "$vetcache"
 
 # The -race run is the canonical full suite; the extra plain runs cover
-# internal/core's and internal/sim's //go:build !race
-# allocation-regression tests, which the race detector's allocations
-# would falsify.
+# internal/core's, internal/sim's, internal/rat's and internal/task's
+# //go:build !race allocation-regression tests, which the race
+# detector's allocations would falsify.
 go test -race ./...
 go test -run Alloc ./internal/core/...
 go test -run Alloc ./internal/sim/
+go test -run Alloc ./internal/rat/
+go test -run Alloc ./internal/task/
 
 # Oracle fuzz smoke: the production demand walks (columnar plans, pruned,
 # warm-started) must stay equivalent to the plain test-oracle walks under
@@ -58,6 +60,11 @@ go test -fuzz FuzzDeltaEquivalence -fuzztime 10s -run '^$' ./internal/core/
 # byte-identical to the frozen reference simulator on random task sets,
 # workloads, and configs.
 go test -fuzz FuzzSimEquivalence -fuzztime 10s -run '^$' ./internal/sim/
+
+# Exact-sum fuzz smoke: rat.TreeSum, the balanced product tree behind
+# every exact Σ C/T, Σ(T−D)·C/T and Σσ, must equal the sequential
+# big.Rat fold on random leaf sequences.
+go test -fuzz FuzzTreeSum -fuzztime 10s -run '^$' ./internal/rat/
 
 # Bench smoke: every root, core and sim benchmark must still compile and
 # complete one iteration, so their b.Fatal checks run (allocation
