@@ -12,7 +12,7 @@ import (
 	"testing"
 
 	"mcspeedup"
-	"mcspeedup/internal/examplesets"
+	"mcspeedup/internal/benchcases"
 )
 
 func BenchmarkTable1(b *testing.B) {
@@ -96,74 +96,33 @@ func BenchmarkAblation(b *testing.B) {
 
 // --- micro-benchmarks of the analyses underlying every figure ---
 
+// BenchmarkCore runs the rows of BENCH_core.json: the same sets and
+// operations cmd/mcs-bench measures under those names
+// (internal/benchcases), e.g. `go test -bench 'Core/MinimalY$' .`.
+func BenchmarkCore(b *testing.B) {
+	for _, c := range benchcases.Cases {
+		b.Run(c.Name, func(b *testing.B) {
+			op, err := c.Setup()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := op(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkMinSpeedForReset(b *testing.B) {
 	set := benchSet(b, 0.8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mcspeedup.MinSpeedForReset(set, 50000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// designSearchSet is the synthetic set of the MinimalY and
-// TuneDeadlines rows, the same one cmd/mcs-bench measures under those
-// names: a generator set at seed 77 and u = 0.7, redrawn until the LO
-// mode is feasible for some x, minimally prepared.
-func designSearchSet() mcspeedup.Set {
-	g := mcspeedup.DefaultGenerator()
-	rnd := rand.New(rand.NewSource(77))
-	for {
-		set := g.MustSet(rnd, 0.7)
-		if _, prepared, err := mcspeedup.MinimalX(set); err == nil {
-			return prepared
-		}
-	}
-}
-
-func BenchmarkMinimalY(b *testing.B) {
-	prepared := designSearchSet()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := mcspeedup.MinimalY(prepared, mcspeedup.RatTwo); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTuneDeadlines(b *testing.B) {
-	set := designSearchSet()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mcspeedup.TuneDeadlines(set, mcspeedup.RatZero); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// coprimeSet is the large-n set of the AnalyzeColdCoprime1000 row, the
-// same one cmd/mcs-bench measures under that name: 1000 tasks with
-// distinct prime periods at U(LO) ≈ 0.9, minimally prepared.
-func coprimeSet(b *testing.B) mcspeedup.Set {
-	b.Helper()
-	_, prepared, err := mcspeedup.MinimalX(examplesets.Coprime(1000))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return prepared
-}
-
-// BenchmarkAnalyzeColdCoprime1000 is a full cold Analyze whose cost is
-// the exact sums: their denominators are products of 1000 primes.
-func BenchmarkAnalyzeColdCoprime1000(b *testing.B) {
-	set := coprimeSet(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mcspeedup.AnalyzeSet(set, mcspeedup.RatTwo); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -201,28 +160,6 @@ func BenchmarkMinSpeedupSynthetic(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mcspeedup.MinSpeedup(set); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMinSpeedupFMS(b *testing.B) {
-	set, err := mcspeedup.FMSTasks(mcspeedup.RatTwo)
-	if err != nil {
-		b.Fatal(err)
-	}
-	set, err = set.DegradeLO(mcspeedup.RatTwo)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_, prepared, err := mcspeedup.MinimalX(set)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mcspeedup.MinSpeedup(prepared); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -15,7 +15,7 @@ import (
 	"testing"
 )
 
-var cliTools = []string{"mcs-gen", "mcs-analyze", "mcs-sim", "mcs-experiments", "mcs-tradeoff", "mcs-serve", "mcs-load"}
+var cliTools = []string{"mcs-gen", "mcs-analyze", "mcs-sim", "mcs-experiments", "mcs-tradeoff", "mcs-serve"}
 
 // buildCLIs compiles every tool once per test binary invocation.
 func buildCLIs(t *testing.T) string {
@@ -144,45 +144,19 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Fatalf("experiments JSON invalid: %v\n%s", err, expJSON)
 	}
 
-	// -workers must not change rendered output, and -bench-json must
-	// produce a valid per-experiment stats report.
-	benchPath := filepath.Join(dir, "bench.json")
+	// -workers must not change rendered output.
 	seq, _, err := runCLI(t, bin("mcs-experiments"), nil,
 		"-run", "fig6,fig7", "-sets", "4", "-grid", "3", "-workers", "1")
 	if err != nil {
 		t.Fatalf("mcs-experiments -workers 1: %v", err)
 	}
 	parl, _, err := runCLI(t, bin("mcs-experiments"), nil,
-		"-run", "fig6,fig7", "-sets", "4", "-grid", "3", "-workers", "4", "-bench-json", benchPath)
+		"-run", "fig6,fig7", "-sets", "4", "-grid", "3", "-workers", "4")
 	if err != nil {
 		t.Fatalf("mcs-experiments -workers 4: %v", err)
 	}
 	if seq != parl {
 		t.Errorf("mcs-experiments output differs between -workers 1 and 4:\n--- w=1 ---\n%s\n--- w=4 ---\n%s", seq, parl)
-	}
-	benchData, err := os.ReadFile(benchPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bench struct {
-		Workers     int `json:"workers"`
-		Experiments []struct {
-			Experiment string  `json:"experiment"`
-			Seconds    float64 `json:"seconds"`
-			Corpus     int     `json:"corpus"`
-		} `json:"experiments"`
-		TotalSecs float64 `json:"totalSeconds"`
-	}
-	if err := json.Unmarshal(benchData, &bench); err != nil {
-		t.Fatalf("bench-json invalid: %v\n%s", err, benchData)
-	}
-	if bench.Workers != 4 || len(bench.Experiments) != 2 || bench.TotalSecs <= 0 {
-		t.Errorf("bench-json report incomplete: %+v", bench)
-	}
-	for _, e := range bench.Experiments {
-		if e.Corpus <= 0 {
-			t.Errorf("bench-json %s: corpus %d, want > 0", e.Experiment, e.Corpus)
-		}
 	}
 
 	// mcs-tradeoff on the example.

@@ -3,11 +3,10 @@ package mcspeedup_test
 // End-to-end tests of the clustered deployment story using the real
 // binaries: three mcs-serve processes sharing a -peers list forward
 // misses to the fingerprint owner, readiness flips before the listener
-// closes on SIGTERM, and mcs-load drives a replica and appends a
-// trajectory entry. The fine-grained cluster semantics (placement
+// closes on SIGTERM. The fine-grained cluster semantics (placement
 // goldens, coalescing proofs) live in internal/cluster's in-process
-// tests; this file proves the flags, the process lifecycle, and the
-// harness binary wire together.
+// tests; this file proves the flags and the process lifecycle wire
+// together.
 
 import (
 	"bytes"
@@ -15,7 +14,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -213,65 +211,5 @@ func TestReadyzFlipsBeforeListenerCloses(t *testing.T) {
 	httpGet(t, base+"/healthz")
 	if err := <-done; err != nil {
 		t.Fatalf("graceful shutdown after drain grace: %v", err)
-	}
-}
-
-func TestLoadHarnessSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("load harness e2e skipped in -short mode")
-	}
-	dir := buildCLIs(t)
-	base, _ := startServe(t, filepath.Join(dir, "mcs-serve"))
-	addr := strings.TrimPrefix(base, "http://")
-
-	trajectory := filepath.Join(t.TempDir(), "trajectory.json")
-	// Pre-seed a foreign-shaped entry: mcs-load must append, not clobber.
-	if err := os.WriteFile(trajectory, []byte(`[{"date":"2026-01-01","benchmarks":{}}]`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	out, errOut, err := runCLI(t, filepath.Join(dir, "mcs-load"), nil,
-		"-addrs", addr, "-duration", "2s", "-rps", "20", "-steps", "1",
-		"-corpus", "8", "-seed", "1", "-trajectory", trajectory)
-	if err != nil {
-		t.Fatalf("mcs-load: %v\nstdout:\n%s\nstderr:\n%s", err, out, errOut)
-	}
-
-	var rep struct {
-		Kind     string  `json:"kind"`
-		Requests uint64  `json:"requests"`
-		Errors   uint64  `json:"errors"`
-		P50Ms    float64 `json:"p50Ms"`
-		P99Ms    float64 `json:"p99Ms"`
-		RPSAtSLO float64 `json:"rpsAtSLO"`
-	}
-	if err := json.Unmarshal([]byte(out), &rep); err != nil {
-		t.Fatalf("report is not JSON: %v\n%s", err, out)
-	}
-	if rep.Kind != "load" || rep.Requests == 0 || rep.Errors != 0 {
-		t.Errorf("report kind=%q requests=%d errors=%d, want a clean load run", rep.Kind, rep.Requests, rep.Errors)
-	}
-	if rep.P50Ms <= 0 || rep.P99Ms < rep.P50Ms {
-		t.Errorf("implausible quantiles: p50=%gms p99=%gms", rep.P50Ms, rep.P99Ms)
-	}
-
-	// The trajectory now holds the seeded entry plus the load entry,
-	// with the foreign entry byte-preserved in shape.
-	var hist []map[string]any
-	data, err := os.ReadFile(trajectory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &hist); err != nil {
-		t.Fatalf("trajectory is not a JSON array: %v\n%s", err, data)
-	}
-	if len(hist) != 2 {
-		t.Fatalf("trajectory has %d entries, want 2 (seed + load)", len(hist))
-	}
-	if _, ok := hist[0]["benchmarks"]; !ok {
-		t.Error("pre-existing mcs-bench entry lost its shape")
-	}
-	if hist[1]["kind"] != "load" || hist[1]["gitRev"] == "" {
-		t.Errorf("appended entry malformed: %v", hist[1])
 	}
 }

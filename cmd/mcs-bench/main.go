@@ -1,53 +1,41 @@
 // Command mcs-bench measures the analysis engine's steady-state
-// performance and writes the machine-readable trajectory BENCH_core.json
-// tracked at the repository root (see docs/PERF.md). It benchmarks the
-// hot analysis paths with testing.Benchmark — so ns/op, B/op, and
-// allocs/op carry the exact semantics of `go test -bench` — plus one
-// timed run of the Fig.-5 design-space sweep as an end-to-end wall-clock
-// probe.
+// performance and writes BENCH_core.json, tracked at the repository root
+// (see docs/PERF.md). It runs every row of internal/benchcases under
+// testing.Benchmark — so ns/op, B/op, and allocs/op carry the exact
+// semantics of `go test -bench` — records the examined-event and jump
+// counters of the three exact FMS walks, and times one run of the
+// Fig.-5 design-space sweep as an end-to-end wall-clock probe.
 //
 // Usage:
 //
-//	mcs-bench [-out BENCH_core.json] [-trajectory BENCH_trajectory.json]
-//	          [-grid 9] [-workers 0] [-compare BENCH_core.json]
+//	mcs-bench [-out BENCH_core.json] [-grid 9] [-workers 0]
+//	          [-vetroot .] [-compare BENCH_core.json]
 //	          [-cpuprofile bench.pprof]
 //
-// Regenerate the checked-in file with scripts/bench_core.sh. Absolute
-// numbers are machine-dependent; allocs/op is the portable signal the
-// regression tests pin (see internal/core's zero-allocation tests).
+// Regenerate the checked-in file with scripts/bench_core.sh.
 //
-// -compare diffs the fresh numbers against a baseline BENCH_core.json
-// and exits nonzero on a regression: any allocs/op increase (the
-// machine-independent counter), or a ns/op slowdown beyond
-// -compare-tol (default 15%). CI's perf-gate job runs the comparison
-// with -compare-ns-fail=false, demoting wall-clock drift to a warning
-// annotation — shared runners are too noisy for a hard ns/op wall.
+// -compare diffs the fresh run against a baseline BENCH_core.json and
+// exits nonzero on a regression of a machine-independent counter: any
+// allocs/op increase, or any increase of an fmsEvents counter. ns/op
+// depends on the host, so its drift is logged and never fails the
+// comparison. The baseline is read before anything is written, so -out
+// may name the same file.
 //
 // -cpuprofile writes a pprof CPU profile covering the benchmark loops
 // and the Fig.-5 sweep; docs/PERF.md has a "reading the profile"
 // walkthrough.
 //
-// -trajectory appends one dated entry — git revision, per-benchmark
-// numbers, and the examined-event and jump counters of the FMS walks —
-// to a JSON-array history file, so performance can be compared across
-// commits (CI uploads the file as a build artifact). The event counters
-// are machine-independent: they count examined demand events, the
-// algorithmic work the pruning of docs/PERF.md removes.
-//
-// The entry also carries a vetWallTime row: the wall-clock of a full
-// mcs-vet module sweep over -vetroot, cold into a fresh fact cache and
-// warm replaying from it — the number that keeps the fact cache honest
-// across commits.
+// -vetroot also times a full mcs-vet module sweep, cold into a fresh
+// fact cache and warm replaying from it, as the vetWallTime row.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
@@ -56,16 +44,14 @@ import (
 	"time"
 
 	"mcspeedup"
-	"mcspeedup/internal/examplesets"
+	"mcspeedup/internal/benchcases"
 	"mcspeedup/internal/lint"
 	"mcspeedup/internal/lint/suite"
 )
 
 // benchDoc is the BENCH_core.json layout. GoMaxProcs and CPUModel
-// qualify the machine the ns/op numbers came from (a baseline taken at
-// GOMAXPROCS=1 or on different silicon is not comparable); both are
-// omitempty so trajectory entries written before they existed re-marshal
-// unchanged.
+// qualify the machine the ns/op numbers came from; both are omitempty
+// so documents written before they existed re-marshal unchanged.
 type benchDoc struct {
 	GeneratedAt string       `json:"generatedAt"`
 	GoVersion   string       `json:"goVersion"`
@@ -73,6 +59,7 @@ type benchDoc struct {
 	GoMaxProcs  int          `json:"gomaxprocs,omitempty"`
 	CPUModel    string       `json:"cpuModel,omitempty"`
 	Benchmarks  []benchEntry `json:"benchmarks"`
+	FMSEvents   *eventsEntry `json:"fmsEvents,omitempty"`
 	Fig5        fig5Entry    `json:"fig5Sweep"`
 	VetWallTime *vetEntry    `json:"vetWallTime,omitempty"`
 }
@@ -102,26 +89,10 @@ type vetEntry struct {
 	WarmCacheHits int     `json:"warmCacheHits"`
 }
 
-// trajectoryEntry is one element of the BENCH_trajectory.json array: the
-// same measurements as BENCH_core.json plus the commit they were taken at
-// and the FMS event counters, which compare across machines.
-type trajectoryEntry struct {
-	Date        string       `json:"date"`
-	GitRev      string       `json:"gitRev"`
-	GoVersion   string       `json:"goVersion"`
-	NumCPU      int          `json:"numCPU"`
-	GoMaxProcs  int          `json:"gomaxprocs,omitempty"`
-	CPUModel    string       `json:"cpuModel,omitempty"`
-	Benchmarks  []benchEntry `json:"benchmarks"`
-	FMSEvents   eventsEntry  `json:"fmsEvents"`
-	VetWallTime *vetEntry    `json:"vetWallTime,omitempty"`
-}
-
 // eventsEntry records how many demand events each exact FMS analysis
-// examined, plus its bulk-skip count. Older rows also carry the plain
-// unpruned walks' counts (*Unpruned), which internal/core's tests now pin
-// against the test oracle; those rows pass through the trajectory file
-// untouched.
+// examined, plus its bulk-skip count. The counters are
+// machine-independent: they count the algorithmic work the pruning of
+// docs/PERF.md removes.
 type eventsEntry struct {
 	SpeedupExamined  int `json:"speedupExamined"`
 	SpeedupJumps     int `json:"speedupJumps"`
@@ -133,29 +104,31 @@ type eventsEntry struct {
 
 // fmsEventCounts runs the three exact FMS analyses and collects their
 // event counters.
-func fmsEventCounts(fms mcspeedup.Set) eventsEntry {
-	var e eventsEntry
+func fmsEventCounts() (*eventsEntry, error) {
+	fms, err := benchcases.FMS()
+	if err != nil {
+		return nil, err
+	}
 	sp, err := mcspeedup.MinSpeedup(fms)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	e.SpeedupExamined, e.SpeedupJumps = sp.Events, sp.Jumps
-
 	rr, err := mcspeedup.ResetTime(fms, mcspeedup.RatTwo)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	e.ResetExamined, e.ResetJumps = rr.Events, rr.Jumps
-
 	sr, err := mcspeedup.MinSpeedForReset(fms, 50_000)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	e.SpeedForExamined, e.SpeedForJumps = sr.Events, sr.Jumps
-
+	e := &eventsEntry{
+		SpeedupExamined: sp.Events, SpeedupJumps: sp.Jumps,
+		ResetExamined: rr.Events, ResetJumps: rr.Jumps,
+		SpeedForExamined: sr.Events, SpeedForJumps: sr.Jumps,
+	}
 	log.Printf("FMS events examined: speedup %d (%d jumps), reset %d (%d jumps), speed-for-reset %d (%d jumps)",
 		e.SpeedupExamined, e.SpeedupJumps, e.ResetExamined, e.ResetJumps, e.SpeedForExamined, e.SpeedForJumps)
-	return e
+	return e, nil
 }
 
 // cpuModel returns the "model name" of the first processor entry in
@@ -177,35 +150,31 @@ func cpuModel() string {
 	return ""
 }
 
-// compareBaseline diffs fresh benchmark results against the baseline
-// BENCH_core.json at path. Alloc-counter increases always count as
-// regressions — allocs/op is machine-independent, so any growth is a
-// real code change. ns/op slowdowns beyond tol count only when nsFail
-// is set; with nsFail false they are demoted to warnings (GitHub
-// ::warning annotations under Actions), which is how CI's perf-gate job
-// runs on noisy shared runners. Benchmarks present on only one side are
-// reported informationally and never fail the comparison.
-func compareBaseline(path string, fresh []benchEntry, tol float64, nsFail bool) error {
+// loadBaseline reads the BENCH_core.json document at path.
+func loadBaseline(path string) (benchDoc, error) {
+	var base benchDoc
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return base, err
 	}
-	var base benchDoc
 	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("%s is not a BENCH_core.json document: %v", path, err)
+		return base, fmt.Errorf("%s is not a BENCH_core.json document: %v", path, err)
 	}
+	return base, nil
+}
+
+// compareBaseline diffs a fresh document against the baseline. Only the
+// machine-independent counters gate: any allocs/op increase and any
+// increase of an fmsEvents counter is a regression. ns/op drift is
+// logged whatever its size. Rows present on only one side, and event
+// counters the baseline lacks, are reported informationally.
+func compareBaseline(base, fresh benchDoc) error {
 	baseline := make(map[string]benchEntry, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
 		baseline[b.Name] = b
 	}
-	warn := func(msg string) {
-		if os.Getenv("GITHUB_ACTIONS") != "" {
-			fmt.Printf("::warning title=mcs-bench compare::%s\n", msg)
-		}
-		log.Printf("compare: WARN %s", msg)
-	}
 	var failures []string
-	for _, e := range fresh {
+	for _, e := range fresh.Benchmarks {
 		b, ok := baseline[e.Name]
 		if !ok {
 			log.Printf("compare: %-28s new benchmark (no baseline entry)", e.Name)
@@ -221,62 +190,38 @@ func compareBaseline(path string, fresh []benchEntry, tol float64, nsFail bool) 
 		if b.NsPerOp > 0 {
 			drift = (e.NsPerOp/b.NsPerOp - 1) * 100
 		}
-		if b.NsPerOp > 0 && e.NsPerOp > b.NsPerOp*(1+tol) {
-			msg := fmt.Sprintf("%s: ns/op %.0f -> %.0f (%+.1f%%, tolerance %.0f%%)",
-				e.Name, b.NsPerOp, e.NsPerOp, drift, tol*100)
-			if nsFail {
-				failures = append(failures, msg)
-			} else {
-				warn(msg)
-			}
-			continue
-		}
-		log.Printf("compare: %-28s ok (ns/op %+.1f%%, allocs/op %d -> %d)",
-			e.Name, drift, b.AllocsPerOp, e.AllocsPerOp)
+		log.Printf("compare: %-28s ok (allocs/op %d -> %d; ns/op %+.1f%%, not gated)",
+			e.Name, b.AllocsPerOp, e.AllocsPerOp, drift)
 	}
 	for name := range baseline {
 		log.Printf("compare: %-28s only in baseline (dropped?)", name)
 	}
+	switch {
+	case fresh.FMSEvents == nil:
+	case base.FMSEvents == nil:
+		log.Printf("compare: fmsEvents new (no baseline entry)")
+	default:
+		b, e := base.FMSEvents, fresh.FMSEvents
+		for _, c := range []struct {
+			name        string
+			base, fresh int
+		}{
+			{"speedupExamined", b.SpeedupExamined, e.SpeedupExamined},
+			{"speedupJumps", b.SpeedupJumps, e.SpeedupJumps},
+			{"resetExamined", b.ResetExamined, e.ResetExamined},
+			{"resetJumps", b.ResetJumps, e.ResetJumps},
+			{"speedForResetExamined", b.SpeedForExamined, e.SpeedForExamined},
+			{"speedForResetJumps", b.SpeedForJumps, e.SpeedForJumps},
+		} {
+			if c.fresh > c.base {
+				failures = append(failures, fmt.Sprintf("fmsEvents.%s: %d -> %d", c.name, c.base, c.fresh))
+			}
+		}
+	}
 	if len(failures) > 0 {
-		return fmt.Errorf("regressions vs %s:\n  %s", path, strings.Join(failures, "\n  "))
+		return fmt.Errorf("regressions:\n  %s", strings.Join(failures, "\n  "))
 	}
 	return nil
-}
-
-// gitRev returns the short commit hash of the working tree, or "unknown"
-// outside a git checkout (e.g. an extracted release tarball).
-func gitRev() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return "unknown"
-	}
-	return strings.TrimSpace(string(out))
-}
-
-// appendTrajectory appends entry to the JSON array at path, creating the
-// file on first use. The history is handled as raw messages so entries
-// written by other tools (mcs-load's latency rows share this file) pass
-// through byte-preserved instead of being re-shaped through this tool's
-// entry struct.
-func appendTrajectory(path string, entry any) error {
-	var hist []json.RawMessage
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &hist); err != nil {
-			return fmt.Errorf("%s is not a trajectory array: %v", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	raw, err := json.Marshal(entry)
-	if err != nil {
-		return err
-	}
-	hist = append(hist, raw)
-	data, err := json.MarshalIndent(hist, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // measureVet times a full mcs-vet module sweep over root, cold into a
@@ -322,16 +267,28 @@ func measureVet(root string) *vetEntry {
 	return e
 }
 
-// measure runs fn under testing.Benchmark with allocation reporting.
-func measure(name string, fn func()) benchEntry {
+// measure sets c up and runs its operation under testing.Benchmark with
+// allocation reporting.
+func measure(c benchcases.Case) (benchEntry, error) {
+	op, err := c.Setup()
+	if err != nil {
+		return benchEntry{}, fmt.Errorf("%s: %w", c.Name, err)
+	}
+	var opErr error
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			fn()
+			if err := op(); err != nil {
+				opErr = err
+				return
+			}
 		}
 	})
+	if opErr != nil {
+		return benchEntry{}, fmt.Errorf("%s: %w", c.Name, opErr)
+	}
 	e := benchEntry{
-		Name:        name,
+		Name:        c.Name,
 		Iterations:  res.N,
 		NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
 		BytesPerOp:  res.AllocedBytesPerOp(),
@@ -339,101 +296,54 @@ func measure(name string, fn func()) benchEntry {
 	}
 	log.Printf("%-28s %12.0f ns/op %8d B/op %6d allocs/op (%d iters)",
 		e.Name, e.NsPerOp, e.BytesPerOp, e.AllocsPerOp, e.Iterations)
-	return e
-}
-
-// fmsPrepared is the §VI.A flight-management set degraded by y = 2 and
-// minimally prepared — the same configuration the repository's root
-// benchmarks use.
-func fmsPrepared() mcspeedup.Set {
-	set, err := mcspeedup.FMSTasks(mcspeedup.RatTwo)
-	if err != nil {
-		log.Fatal(err)
-	}
-	set, err = set.DegradeLO(mcspeedup.RatTwo)
-	if err != nil {
-		log.Fatal(err)
-	}
-	_, prepared, err := mcspeedup.MinimalX(set)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return prepared
-}
-
-// deltaEdits picks an FMS HI task whose C(HI) can be lowered by one
-// without violating C(LO) <= C(HI) and returns the two alternating
-// single-parameter edits the session-delta benchmark flips between.
-func deltaEdits(set mcspeedup.Set) (up, down mcspeedup.Edit) {
-	for _, tk := range set {
-		if tk.Crit == mcspeedup.HI && tk.WCET[mcspeedup.HI] > tk.WCET[mcspeedup.LO] {
-			c := tk.WCET[mcspeedup.HI]
-			return mcspeedup.SetParam(tk.Name, mcspeedup.ParamCHI, c),
-				mcspeedup.SetParam(tk.Name, mcspeedup.ParamCHI, c-1)
-		}
-	}
-	log.Fatal("no FMS HI task with C(HI) > C(LO)")
-	return
-}
-
-// genPrepared mirrors the root benchmarks' synthetic corpus: a
-// generator set at the given seed and utilization, minimally prepared.
-func genPrepared(seed int64, uBound float64) mcspeedup.Set {
-	g := mcspeedup.DefaultGenerator()
-	rnd := rand.New(rand.NewSource(seed))
-	for {
-		set := g.MustSet(rnd, uBound)
-		if _, prepared, err := mcspeedup.MinimalX(set); err == nil {
-			return prepared
-		}
-	}
-}
-
-// coprimePrepared is the large-n set of AnalyzeColdCoprime1000: 1000
-// tasks with distinct prime periods in [1000, 100000] at U(LO) ≈ 0.9,
-// minimally prepared — the same set the root benchmark of that name runs.
-func coprimePrepared() mcspeedup.Set {
-	_, prepared, err := mcspeedup.MinimalX(examplesets.Coprime(1000))
-	if err != nil {
-		log.Fatal(err)
-	}
-	return prepared
+	return e, nil
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mcs-bench: ")
-	var (
-		out        = flag.String("out", "BENCH_core.json", "output path (- = stdout)")
-		trajectory = flag.String("trajectory", "", "append a dated entry to this JSON-array history file")
-		grid       = flag.Int("grid", 9, "Fig.-5 sweep grid resolution")
-		workers    = flag.Int("workers", 0, "Fig.-5 sweep workers (0 = all cores)")
-		vetRoot    = flag.String("vetroot", ".", "module root for the vet wall-time sweep ('' = skip)")
-		compare    = flag.String("compare", "", "baseline BENCH_core.json to diff against; exit nonzero on regression")
-		compareTol = flag.Float64("compare-tol", 0.15, "ns/op slowdown tolerated by -compare")
-		compareNS  = flag.Bool("compare-ns-fail", true, "fail -compare on ns/op regressions (false: warn only; allocs/op increases always fail)")
-		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the benchmark run to this file")
-	)
-	flag.Parse()
+	if err := run(os.Args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		log.Fatal(err)
+	}
+}
 
-	fms := fmsPrepared()
-	synth := genPrepared(77, 0.7)
-	coprime := coprimePrepared()
-	scratch := new(mcspeedup.AnalysisScratch)
-	withScratch := mcspeedup.AnalysisOptions{Scratch: scratch}
+func run(args []string) error {
+	fs := flag.NewFlagSet("mcs-bench", flag.ContinueOnError)
+	var (
+		out        = fs.String("out", "BENCH_core.json", "output path (- = stdout)")
+		grid       = fs.Int("grid", 9, "Fig.-5 sweep grid resolution")
+		workers    = fs.Int("workers", 0, "Fig.-5 sweep workers (0 = all cores)")
+		vetRoot    = fs.String("vetroot", ".", "module root for the vet wall-time sweep ('' = skip)")
+		compare    = fs.String("compare", "", "baseline BENCH_core.json to diff against; exit nonzero on an allocs/op or fmsEvents increase")
+		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile of the benchmark run to this file")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	var base benchDoc
+	if *compare != "" {
+		var err error
+		if base, err = loadBaseline(*compare); err != nil {
+			return err
+		}
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		// The profile covers the benchmark loops and the Fig.-5 sweep —
-		// the analysis hot paths — not the vet sweep or file writes;
-		// stopCPUProfile below is called right after the sweep.
-		defer f.Close()
+		// the analysis hot paths — not the vet sweep or file writes.
+		defer pprof.StopCPUProfile()
 	}
 
 	doc := benchDoc{
@@ -443,127 +353,21 @@ func main() {
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		CPUModel:    cpuModel(),
 	}
-	doc.Benchmarks = []benchEntry{
-		measure("MinSpeedupFMS", func() {
-			if _, err := mcspeedup.MinSpeedup(fms); err != nil {
-				log.Fatal(err)
-			}
-		}),
-		measure("MinSpeedupFMSScratch", func() {
-			if _, err := mcspeedup.MinSpeedupOpts(fms, withScratch); err != nil {
-				log.Fatal(err)
-			}
-		}),
-		measure("ResetTimeFMS", func() {
-			if _, err := mcspeedup.ResetTimeOpts(fms, mcspeedup.RatTwo, withScratch); err != nil {
-				log.Fatal(err)
-			}
-		}),
-		measure("MinSpeedForResetFMS", func() {
-			if _, err := mcspeedup.MinSpeedForResetOpts(fms, 50_000, withScratch); err != nil {
-				log.Fatal(err)
-			}
-		}),
-		measure("MinimalY", func() {
-			if _, _, err := mcspeedup.MinimalY(synth, mcspeedup.RatTwo); err != nil {
-				log.Fatal(err)
-			}
-		}),
-		measure("TuneDeadlines", func() {
-			if _, err := mcspeedup.TuneDeadlines(synth, mcspeedup.RatZero); err != nil {
-				log.Fatal(err)
-			}
-		}),
-		measure("FeasibleXWindowFMS", func() {
-			if _, _, err := mcspeedup.FeasibleXWindow(fms, mcspeedup.RatTwo); err != nil {
-				log.Fatal(err)
-			}
-		}),
-		measure("AnalyzeColdFMS", func() {
-			if _, err := mcspeedup.AnalyzeSet(fms, mcspeedup.RatTwo); err != nil {
-				log.Fatal(err)
-			}
-		}),
-		measure("AnalyzeColdCoprime1000", func() {
-			if _, err := mcspeedup.AnalyzeSet(coprime, mcspeedup.RatTwo); err != nil {
-				log.Fatal(err)
-			}
-		}),
-	}
-
-	// SimRunFMS: one full simulator run of the FMS set over a 20-period
-	// synchronous workload with every-fifth-job overruns, through the
-	// compiled zero-allocation entry point (compile and workload built
-	// once, Result and SimScratch reused) — allocs/op must read 0.
-	{
-		horizon := 20 * fms.MaxPeriod()
-		wl := mcspeedup.SynchronousPeriodic(fms, horizon, func(_, seq int) bool {
-			return seq%5 == 0
-		})
-		c, err := mcspeedup.CompileSim(fms, wl)
+	for _, c := range benchcases.Cases {
+		e, err := measure(c)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		cfg := mcspeedup.SimConfig{Speedup: mcspeedup.RatTwo}
-		var res mcspeedup.SimResult
-		var sc mcspeedup.SimScratch
-		doc.Benchmarks = append(doc.Benchmarks, measure("SimRunFMS", func() {
-			if err := c.RunInto(&res, &sc, cfg); err != nil {
-				log.Fatal(err)
-			}
-		}))
-	}
-
-	// FleetThroughput: sampled-ACET Monte-Carlo runs per second through
-	// the fleet engine (single worker, so the number is per-core and the
-	// measurement composes with -workers linearly).
-	{
-		e := measure("FleetThroughput", func() {
-			if _, err := mcspeedup.RunFleet(mcspeedup.FleetParams{
-				Set: fms, Runs: 32, Seed: 1, Speedup: mcspeedup.RatTwo,
-				Horizon: 4 * fms.MaxPeriod(), Workers: 1,
-			}); err != nil {
-				log.Fatal(err)
-			}
-		})
-		log.Printf("fleet throughput: %.0f runs/sec/core", 32/(e.NsPerOp/1e9))
 		doc.Benchmarks = append(doc.Benchmarks, e)
 	}
-
-	// SessionDeltaEditFMS: one single-parameter C(HI) edit plus the
-	// delta re-analysis it triggers, against AnalyzeColdFMS above — the
-	// delta-vs-cold ratio docs/PERF.md quotes. The session persists
-	// across iterations (that is the point of the incremental path); the
-	// edit alternates between two valid values so every iteration really
-	// changes the set.
-	{
-		up, down := deltaEdits(fms)
-		sess, err := mcspeedup.NewAnalysisSession(fms, mcspeedup.RatTwo)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if _, _, err := sess.Report(); err != nil { // absorb the cold analysis
-			log.Fatal(err)
-		}
-		flip := false
-		doc.Benchmarks = append(doc.Benchmarks, measure("SessionDeltaEditFMS", func() {
-			e := down
-			if flip {
-				e = up
-			}
-			flip = !flip
-			if err := sess.Apply(e); err != nil {
-				log.Fatal(err)
-			}
-			if _, _, err := sess.Report(); err != nil {
-				log.Fatal(err)
-			}
-		}))
+	var err error
+	if doc.FMSEvents, err = fmsEventCounts(); err != nil {
+		return err
 	}
 
 	start := time.Now()
 	if _, err := mcspeedup.ExperimentFig5(*grid, *workers); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	doc.Fig5 = fig5Entry{Grid: *grid, Workers: *workers, Seconds: time.Since(start).Seconds()}
 	log.Printf("fig5 sweep (grid %d, workers %d): %.3fs", *grid, *workers, doc.Fig5.Seconds)
@@ -579,40 +383,23 @@ func main() {
 
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	data = append(data, '\n')
 	if *out == "-" {
 		fmt.Print(string(data))
 	} else {
 		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		log.Printf("wrote %s", *out)
 	}
 
-	if *trajectory != "" {
-		entry := trajectoryEntry{
-			Date:        doc.GeneratedAt,
-			GitRev:      gitRev(),
-			GoVersion:   doc.GoVersion,
-			NumCPU:      doc.NumCPU,
-			GoMaxProcs:  doc.GoMaxProcs,
-			CPUModel:    doc.CPUModel,
-			Benchmarks:  doc.Benchmarks,
-			FMSEvents:   fmsEventCounts(fms),
-			VetWallTime: doc.VetWallTime,
-		}
-		if err := appendTrajectory(*trajectory, entry); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("appended %s @ %s to %s", entry.Date, entry.GitRev, *trajectory)
-	}
-
 	if *compare != "" {
-		if err := compareBaseline(*compare, doc.Benchmarks, *compareTol, *compareNS); err != nil {
-			log.Fatal(err)
+		if err := compareBaseline(base, doc); err != nil {
+			return fmt.Errorf("compare against %s: %w", *compare, err)
 		}
 		log.Printf("compare: no regressions vs %s", *compare)
 	}
+	return nil
 }

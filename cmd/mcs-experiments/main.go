@@ -15,8 +15,6 @@
 //	-seed int          RNG seed (default 2015)
 //	-workers int       parallel sweep workers (0 = all cores); rendered
 //	                   output is byte-identical for every worker count
-//	-bench-json path   also write per-experiment wall-clock and corpus
-//	                   stats as JSON to path
 package main
 
 import (
@@ -24,63 +22,21 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"runtime"
 	"strings"
-	"time"
 
 	"mcspeedup"
 )
-
-// benchEntry is one per-experiment record of the -bench-json report.
-type benchEntry struct {
-	Experiment string  `json:"experiment"`
-	Seconds    float64 `json:"seconds"`
-	// Corpus is the number of analyzed task sets (0 for the analytic
-	// figures that have no random corpus).
-	Corpus int `json:"corpus,omitempty"`
-}
-
-// benchReport is the -bench-json file layout: enough context to compare
-// wall-clock trajectories across machines and worker counts.
-type benchReport struct {
-	GeneratedAt string       `json:"generatedAt"`
-	GoVersion   string       `json:"goVersion"`
-	NumCPU      int          `json:"numCPU"`
-	Workers     int          `json:"workers"`
-	Seed        int64        `json:"seed"`
-	Experiments []benchEntry `json:"experiments"`
-	TotalSecs   float64      `json:"totalSeconds"`
-}
-
-// corpusSize reports the number of random task sets an experiment
-// analyzed, when it has a corpus at all.
-func corpusSize(r any) int {
-	switch v := r.(type) {
-	case mcspeedup.Fig6Result:
-		return v.Config.SetsPerPoint*len(v.UBounds) + v.Infeasible
-	case mcspeedup.Fig7Result:
-		return v.Config.SetsPerPoint * len(v.Grid) * len(v.Grid)
-	case mcspeedup.AblationResult:
-		return v.Config.SetsPerPoint * len(v.UBounds)
-	case mcspeedup.ServiceQualityResult:
-		return v.CorpusSize
-	default:
-		return 0
-	}
-}
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mcs-experiments: ")
 	var (
-		run       = flag.String("run", "all", "experiments to run (comma-separated)")
-		sets      = flag.Int("sets", 0, "task sets per data point (fig6/fig7/ablation/service)")
-		grid      = flag.Int("grid", 9, "grid resolution (fig5/fig7)")
-		seed      = flag.Int64("seed", 2015, "random seed")
-		asJSON    = flag.Bool("json", false, "emit results as JSON")
-		workers   = flag.Int("workers", 0, "parallel sweep workers (0 = all cores)")
-		benchPath = flag.String("bench-json", "", "write per-experiment wall-clock stats as JSON to this path")
+		run     = flag.String("run", "all", "experiments to run (comma-separated)")
+		sets    = flag.Int("sets", 0, "task sets per data point (fig6/fig7/ablation/service)")
+		grid    = flag.Int("grid", 9, "grid resolution (fig5/fig7)")
+		seed    = flag.Int64("seed", 2015, "random seed")
+		asJSON  = flag.Bool("json", false, "emit results as JSON")
+		workers = flag.Int("workers", 0, "parallel sweep workers (0 = all cores)")
 	)
 	flag.Parse()
 
@@ -91,31 +47,15 @@ func main() {
 	all := want["all"]
 	selected := func(name string) bool { return all || want[name] }
 
-	report := benchReport{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339), //lint:ignore determcheck bench-report metadata; experiment results do not depend on it
-		GoVersion:   runtime.Version(),
-		NumCPU:      runtime.NumCPU(),
-		Workers:     *workers,
-		Seed:        *seed,
-	}
-
 	type renderer interface{ Render() string }
 	runExperiment := func(key, title string, driver func() (renderer, error)) {
 		if !selected(key) {
 			return
 		}
-		start := time.Now() //lint:ignore determcheck wall-clock bench timing around the driver; the rendered results do not depend on it
 		r, err := driver()
-		elapsed := time.Since(start) //lint:ignore determcheck wall-clock bench timing around the driver; the rendered results do not depend on it
 		if err != nil {
 			log.Fatalf("%s: %v", title, err)
 		}
-		report.Experiments = append(report.Experiments, benchEntry{
-			Experiment: key,
-			Seconds:    elapsed.Seconds(),
-			Corpus:     corpusSize(r),
-		})
-		report.TotalSecs += elapsed.Seconds()
 		if *asJSON {
 			data, err := json.MarshalIndent(map[string]any{"experiment": title, "result": r}, "", "  ")
 			if err != nil {
@@ -187,14 +127,4 @@ func main() {
 		r, err := mcspeedup.ExperimentAblation(cfg)
 		return r, err
 	})
-
-	if *benchPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			log.Fatalf("bench-json: %v", err)
-		}
-		if err := os.WriteFile(*benchPath, append(data, '\n'), 0o644); err != nil {
-			log.Fatalf("bench-json: %v", err)
-		}
-	}
 }

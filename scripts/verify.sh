@@ -4,9 +4,10 @@
 # race detector (the parallel sweep engine in internal/par fans every
 # experiment driver out across goroutines, so -race is part of tier-1),
 # plus one plain run of internal/core's !race-tagged allocation tests.
-# Finally a curl-driven smoke test of the mcs-serve daemon: start it on an
+# Then curl-driven smoke tests of the mcs-serve daemon: start it on an
 # ephemeral port, hit /healthz, POST the same analysis twice, and assert
 # the second request was answered from the content-addressed cache.
+# Last, the repository benchmark's own tests and a short serve-zipf run.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -169,7 +170,7 @@ go run ./cmd/mcs-sim -fleet 32 -seed 7 -horizon 200 -overrun 0.001 -workers 3 -j
 cmp "$tmp/fleet_cli.json" "$tmp/f1"
 echo "fleet smoke test passed"
 
-# --- cluster + load-harness smoke -----------------------------------------
+# --- cluster smoke ----------------------------------------------------------
 # Three replicas on loopback: two compute replicas started first (ports
 # unknown until they bind), then a router replica whose -self is absent
 # from -peers, so it owns no keys and forwards every miss. One analysis
@@ -185,8 +186,6 @@ cluster_cleanup() {
     rm -rf "$tmp"
 }
 trap cluster_cleanup EXIT INT TERM
-
-go build -o "$tmp/mcs-load" ./cmd/mcs-load
 
 wait_for_addr() { # logfile -> prints host:port
     _addr=""
@@ -218,14 +217,6 @@ grep -qi '^x-mcs-peer: ' "$tmp/hf"
 cmp "$tmp/rf" "$tmp/r1" # forwarded bytes == single-node bytes
 curl -fsS "http://$addr_r/metrics" | grep -q '^mcs_cluster_forward_total 1$'
 
-# mcs-load smoke: 2 s of low-rate open-loop load against both compute
-# replicas, with the report appended to a trajectory file.
-"$tmp/mcs-load" -addrs "$addr_a,$addr_b" -duration 2s -rps 20 -steps 1 \
-    -corpus 8 -trajectory "$tmp/load_traj.json" -out "$tmp/load.json"
-grep -q '"kind": "load"' "$tmp/load.json"
-grep -q '"errors": 0' "$tmp/load.json"
-grep -q '"kind": "load"' "$tmp/load_traj.json"
-
 for pid in "$rep_a_pid" "$rep_b_pid" "$router_pid"; do
     kill "$pid"
     wait "$pid"
@@ -233,4 +224,18 @@ done
 rep_a_pid=""
 rep_b_pid=""
 router_pid=""
-echo "cluster + mcs-load smoke test passed"
+echo "cluster smoke test passed"
+
+# --- perfbench: the repository benchmark ----------------------------------
+# perfbench is its own Go module, so `go test ./...` above does not
+# reach it: run its corpus tests, then a 2 s serve-zipf run (open-loop
+# Zipf load against a real mcs-serve, every response body checked).
+# perfbench exits 0 even when operations fail, so the step asserts on
+# its result line: the last line of stdout is the result as one JSON
+# object.
+(cd perfbench && go test ./...)
+python3 perfbench/run.py --workload serve-zipf --seed 1 --seconds 2 --trace 0 >"$tmp/zipf.out"
+tail -n 1 "$tmp/zipf.out" >"$tmp/zipf.json"
+grep -q '"correct": *true' "$tmp/zipf.json"
+grep -q '"failed": *0[,}]' "$tmp/zipf.json"
+echo "perfbench serve-zipf smoke passed"
